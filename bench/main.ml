@@ -1057,7 +1057,7 @@ let serve () =
   let n = 240 in
   let domain_counts = [ 1; 2; 4 ] in
   (* A scaled instance so each request does real engine work — the
-     domain-spawn cost per tick has to be amortized against it. *)
+     pool's scheduling cost has to be amortized against it. *)
   let sample = W.Company.scaled ~seed:42 ~n:120 in
   let reqs = S.Request.stream ~seed W.Company.schema ~sample ~n () in
   let req =
@@ -1081,8 +1081,7 @@ let serve () =
   in
   let run ~domains ~initial =
     let config =
-      { S.Pool.default_config with domains; shards = 8; batch = 24;
-        canary_seed = seed }
+      { S.Pool.default_config with domains; shards = 8; canary_seed = seed }
     in
     match S.Pool.run ~config ~cutover:(pinned initial) req sample reqs with
     | Ok r -> r
@@ -1268,8 +1267,7 @@ let plan () =
   let run_serve ~domains ~use_plan_cache =
     let config =
       { S.Pool.default_config with
-        domains; shards = nshards; batch = 24; canary_seed = seed;
-        use_plan_cache;
+        domains; shards = nshards; canary_seed = seed; use_plan_cache;
       }
     in
     match S.Pool.run ~config ~cutover:pinned req sample reqs with
@@ -1386,11 +1384,10 @@ let scaling ?(smoke = false) () =
       initial = S.Cutover.Shadow;
     }
   in
-  let run_serve ~domains ~use_plan_cache ~epoch_serving =
+  let run_serve ~domains ~use_plan_cache =
     let config =
       { S.Pool.default_config with
-        domains; shards = nshards; batch = 24; canary_seed = seed;
-        use_plan_cache; epoch_serving;
+        domains; shards = nshards; canary_seed = seed; use_plan_cache;
       }
     in
     let once () =
@@ -1409,88 +1406,63 @@ let scaling ?(smoke = false) () =
       r0 [ (); () ]
   in
   let rows = ref [] in
-  (* throughput per (variant, mode), for baselines and the smoke gate *)
-  let thr_acc : ((string * string) * (int * float) list ref) list =
-    List.concat_map
-      (fun v -> List.map (fun m -> ((v, m), ref [])) [ "epoch"; "barrier" ])
-      [ "cached"; "interpreted" ]
+  (* throughput per variant, for the recommendation and the smoke gate *)
+  let thr_acc : (string * (int * float) list ref) list =
+    List.map (fun v -> (v, ref [])) [ "cached"; "interpreted" ]
   in
-  let idle_acc : ((string * string * int) * float) list ref = ref [] in
   List.iter
     (fun d ->
       List.iter
         (fun (variant, use_plan_cache) ->
-          List.iter
-            (fun (mode, epoch_serving) ->
-              let r = run_serve ~domains:d ~use_plan_cache ~epoch_serving in
-              let thr = float r.S.Pool.served /. r.S.Pool.wall_s in
-              let acc = List.assoc (variant, mode) thr_acc in
-              acc := (d, thr) :: !acc;
-              idle_acc :=
-                ((variant, mode, d), r.S.Pool.pool_idle_s) :: !idle_acc;
-              let base =
-                match List.assoc_opt 1 !acc with Some t -> t | None -> thr
-              in
-              emit_json
-                [ ("experiment", json_str "scaling");
-                  ("variant", json_str variant);
-                  ("mode", json_str mode);
-                  ("domains", string_of_int d);
-                  ("served", string_of_int r.S.Pool.served);
-                  ("divergent",
-                   string_of_int (S.Metrics.total_divergent r.S.Pool.metrics));
-                  ("wall_s", json_float r.S.Pool.wall_s);
-                  ("req_per_s", json_float thr);
-                  ("speedup_vs_1", json_float (thr /. base));
-                  ("pool_idle_s", json_float r.S.Pool.pool_idle_s);
-                  ("worker_idle_s",
-                   "["
-                   ^ String.concat ", "
-                       (List.map json_float r.S.Pool.worker_idle_s)
-                   ^ "]");
-                ];
+          let r = run_serve ~domains:d ~use_plan_cache in
+          let thr = float r.S.Pool.served /. r.S.Pool.wall_s in
+          let acc = List.assoc variant thr_acc in
+          acc := (d, thr) :: !acc;
+          let base =
+            match List.assoc_opt 1 !acc with Some t -> t | None -> thr
+          in
+          emit_json
+            [ ("experiment", json_str "scaling");
+              ("variant", json_str variant);
+              ("domains", string_of_int d);
+              ("slots", string_of_int r.S.Pool.domains);
+              ("served", string_of_int r.S.Pool.served);
+              ("divergent",
+               string_of_int (S.Metrics.total_divergent r.S.Pool.metrics));
+              ("wall_s", json_float r.S.Pool.wall_s);
+              ("req_per_s", json_float thr);
+              ("speedup_vs_1", json_float (thr /. base));
+              ("pool_idle_s", json_float r.S.Pool.pool_idle_s);
+              ("worker_idle_s",
+               "["
+               ^ String.concat ", " (List.map json_float r.S.Pool.worker_idle_s)
+               ^ "]");
+            ];
           rows :=
-                [ variant; mode; string_of_int d;
-                  string_of_int r.S.Pool.served;
-                  Tablefmt.float_cell (r.S.Pool.wall_s *. 1000.);
-                  Tablefmt.float_cell thr;
-                  Tablefmt.float_cell (thr /. base);
-                  Tablefmt.float_cell r.S.Pool.pool_idle_s;
-                ]
-                :: !rows)
-            [ ("epoch", true); ("barrier", false) ])
+            [ variant; string_of_int d; string_of_int r.S.Pool.domains;
+              string_of_int r.S.Pool.served;
+              Tablefmt.float_cell (r.S.Pool.wall_s *. 1000.);
+              Tablefmt.float_cell thr;
+              Tablefmt.float_cell (thr /. base);
+              Tablefmt.float_cell r.S.Pool.pool_idle_s;
+            ]
+            :: !rows)
         [ ("cached", true); ("interpreted", false) ])
     domain_counts;
-  let cached_thr = !(List.assoc ("cached", "epoch") thr_acc) in
+  let cached_thr = !(List.assoc "cached" thr_acc) in
   Tablefmt.print
     ~title:
       (Printf.sprintf
-         "pool serving, epoch snapshots vs tick barrier (%d requests, %d \
-          shards; speedup is per variant+mode vs its own 1-domain run)"
+         "pool serving (%d requests, %d shards; slots = min(domains, shards, \
+          cores); speedup is per variant vs its own 1-domain run)"
          n nshards)
     ~aligns:
-      [ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right;
+      [ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
         Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
       ]
-    [ "variant"; "mode"; "domains"; "served"; "wall ms"; "req/s";
+    [ "variant"; "domains"; "slots"; "served"; "wall ms"; "req/s";
       "speedup vs 1"; "idle s" ]
     (List.rev !rows);
-  (* idle-time head-to-head: the coordination overhead the epoch
-     pipeline removes *)
-  print_newline ();
-  Tablefmt.print
-    ~title:"coordination idle seconds, barrier vs epoch (cached variant)"
-    ~aligns:
-      [ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ]
-    [ "domains"; "barrier idle s"; "epoch idle s" ]
-    (List.map
-       (fun d ->
-         [ string_of_int d;
-           Tablefmt.float_cell
-             (List.assoc ("cached", "barrier", d) !idle_acc);
-           Tablefmt.float_cell (List.assoc ("cached", "epoch", d) !idle_acc);
-         ])
-       domain_counts);
   (* -- parallel replica preparation: the same pool chunks the bulk
         data translation ([Supervisor.prepare_serving ?pool]) -------- *)
   let big = W.Company.scaled ~seed:42 ~n:(if smoke then 120 else 400) in
@@ -1556,47 +1528,24 @@ let scaling ?(smoke = false) () =
     (Domain.recommended_domain_count ());
   (* -- smoke gate: fail loudly on negative scaling ------------------- *)
   if smoke then begin
-    let thr_of variant mode =
-      let acc = !(List.assoc (variant, mode) thr_acc) in
-      let t1 = List.assoc 1 acc and t2 = List.assoc 2 acc in
-      Printf.printf "smoke %-12s %-8s 1 domain %8.0f req/s, 2 domains \
-                     %8.0f req/s (%.2fx)\n"
-        variant mode t1 t2 (t2 /. t1);
-      (t1, t2)
-    in
     List.iter
-      (fun variant ->
+      (fun (variant, acc) ->
+        let t1 = List.assoc 1 !acc and t2 = List.assoc 2 !acc in
+        Printf.printf
+          "smoke %-12s 1 domain %8.0f req/s, 2 domains %8.0f req/s (%.2fx)\n"
+          variant t1 t2 (t2 /. t1);
         (* The spawn-per-tick loop the pool replaced collapsed to ~0.3x
-           at 2 domains even on one core; both serving modes must stay
-           well clear of that cliff. *)
-        let b1, b2 = thr_of variant "barrier" in
-        let e1, e2 = thr_of variant "epoch" in
-        List.iter
-          (fun (mode, t1, t2) ->
-            if t2 /. t1 < 0.4 then begin
-              Printf.eprintf
-                "SCALING REGRESSION: %s/%s throughput at 2 domains is \
-                 %.2fx the 1-domain run (threshold 0.40x)\n"
-                variant mode (t2 /. t1);
-              exit 1
-            end)
-          [ ("barrier", b1, b2); ("epoch", e1, e2) ];
-        (* Barrier-free serving exists to beat the barrier.  Absolute
-           2-domain throughput, not ratio-of-ratios: epoch mode's
-           faster 1-domain baseline would otherwise make an equal
-           2-domain run look like a regression.  0.85 slack for
-           scheduler noise on millisecond-scale runs. *)
-        if e2 < b2 *. 0.85 then begin
+           at 2 domains even on one core; serving must stay well clear
+           of that cliff. *)
+        if t2 /. t1 < 0.4 then begin
           Printf.eprintf
-            "SCALING REGRESSION: %s epoch-mode 2-domain throughput \
-             (%.0f req/s) fell below barrier mode (%.0f req/s) beyond \
-             the 0.85 slack\n"
-            variant e2 b2;
+            "SCALING REGRESSION: %s throughput at 2 domains is %.2fx the \
+             1-domain run (threshold 0.40x)\n"
+            variant (t2 /. t1);
           exit 1
         end)
-      [ "cached"; "interpreted" ];
-    Printf.printf
-      "smoke: no negative-scaling regression in either serving mode\n"
+      thr_acc;
+    Printf.printf "smoke: no negative-scaling regression\n"
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1623,9 +1572,8 @@ let migration ?(smoke = false) () =
   let seed = 929 in
   let nshards = 4 in
   let n = if smoke then 96 else 128 in
-  (* the volume sweep rides the epoch flagship at 2 domains; the
-     domain sweep (1/2/8, both modes) runs at the middle volume so the
-     bench finishes in CI time *)
+  (* the volume sweep runs at 2 domains; the domain sweep (1/2/8) runs
+     at the middle volume so the bench finishes in CI time *)
   let volumes = if smoke then [ 1000 ] else [ 250; 1000; 3000 ] in
   let sweep_volume = 1000 in
   let domain_counts = if smoke then [ 2 ] else [ 1; 2; 8 ] in
@@ -1647,12 +1595,11 @@ let migration ?(smoke = false) () =
       initial = S.Cutover.Shadow;
     }
   in
-  let run_one ~sample ~reqs ~domains ~epoch_serving ~live =
+  let run_one ~sample ~reqs ~domains ~live =
     let config =
       { S.Pool.default_config with
-        domains; shards = nshards; batch = 24; canary_seed = seed;
-        epoch_serving; live_migration = live; backfill_batch = 48;
-        backfill_lag = 1;
+        domains; shards = nshards; canary_seed = seed; live_migration = live;
+        backfill_batch = 48; backfill_lag = 1;
       }
     in
     match S.Pool.run ~config ~cutover:pinned req sample reqs with
@@ -1671,7 +1618,7 @@ let migration ?(smoke = false) () =
         (r, r.S.Pool.prepare_s +. first, percentile_us 0.95 lats)
   in
   let rows = ref [] in
-  (* (volume, style, mode, domains) -> (prepare_s, first_response_s) *)
+  (* (volume, style, domains) -> (prepare_s, first_response_s) *)
   let results = ref [] in
   List.iter
     (fun vol ->
@@ -1681,54 +1628,46 @@ let migration ?(smoke = false) () =
           ~skew:1.1 ()
       in
       let ds = if vol = sweep_volume then domain_counts else [ 2 ] in
-      let modes =
-        if vol = sweep_volume then [ ("epoch", true); ("barrier", false) ]
-        else [ ("epoch", true) ]
-      in
       List.iter
         (fun d ->
           List.iter
-            (fun (mode, epoch_serving) ->
-              List.iter
-                (fun (style, live) ->
-                  let r, first_resp, p95 =
-                    run_one ~sample ~reqs ~domains:d ~epoch_serving ~live
-                  in
-                  let thr = float r.S.Pool.served /. r.S.Pool.wall_s in
-                  results :=
-                    ((vol, style, mode, d), (r.S.Pool.prepare_s, first_resp))
-                    :: !results;
-                  let faulted, backfilled =
-                    match r.S.Pool.migration with
-                    | Some m -> (m.M.faulted, m.M.backfilled)
-                    | None -> (0, 0)
-                  in
-                  emit_json
-                    [ ("experiment", json_str "migration");
-                      ("style", json_str style);
-                      ("mode", json_str mode);
-                      ("volume", string_of_int vol);
-                      ("domains", string_of_int d);
-                      ("served", string_of_int r.S.Pool.served);
-                      ("prepare_s", json_float r.S.Pool.prepare_s);
-                      ("first_response_s", json_float first_resp);
-                      ("wall_s", json_float r.S.Pool.wall_s);
-                      ("req_per_s", json_float thr);
-                      ("p95_us", json_float p95);
-                      ("faulted", string_of_int faulted);
-                      ("backfilled", string_of_int backfilled);
-                    ];
-          rows :=
-                    [ string_of_int vol; style; mode; string_of_int d;
-                      Tablefmt.float_cell (r.S.Pool.prepare_s *. 1000.);
-                      Tablefmt.float_cell (first_resp *. 1000.);
-                      Tablefmt.float_cell thr;
-                      Tablefmt.float_cell p95;
-                      string_of_int faulted; string_of_int backfilled;
-                    ]
-                    :: !rows)
-                [ ("stop-the-world", false); ("live", true) ])
-            modes)
+            (fun (style, live) ->
+              let r, first_resp, p95 =
+                run_one ~sample ~reqs ~domains:d ~live
+              in
+              let thr = float r.S.Pool.served /. r.S.Pool.wall_s in
+              results :=
+                ((vol, style, d), (r.S.Pool.prepare_s, first_resp))
+                :: !results;
+              let faulted, backfilled =
+                match r.S.Pool.migration with
+                | Some m -> (m.M.faulted, m.M.backfilled)
+                | None -> (0, 0)
+              in
+              emit_json
+                [ ("experiment", json_str "migration");
+                  ("style", json_str style);
+                  ("volume", string_of_int vol);
+                  ("domains", string_of_int d);
+                  ("served", string_of_int r.S.Pool.served);
+                  ("prepare_s", json_float r.S.Pool.prepare_s);
+                  ("first_response_s", json_float first_resp);
+                  ("wall_s", json_float r.S.Pool.wall_s);
+                  ("req_per_s", json_float thr);
+                  ("p95_us", json_float p95);
+                  ("faulted", string_of_int faulted);
+                  ("backfilled", string_of_int backfilled);
+                ];
+              rows :=
+                [ string_of_int vol; style; string_of_int d;
+                  Tablefmt.float_cell (r.S.Pool.prepare_s *. 1000.);
+                  Tablefmt.float_cell (first_resp *. 1000.);
+                  Tablefmt.float_cell thr;
+                  Tablefmt.float_cell p95;
+                  string_of_int faulted; string_of_int backfilled;
+                ]
+                :: !rows)
+            [ ("stop-the-world", false); ("live", true) ])
         ds)
     volumes;
   Tablefmt.print
@@ -1738,12 +1677,12 @@ let migration ?(smoke = false) () =
           = prepare + first request latency)"
          n nshards)
     ~aligns:
-      [ Tablefmt.Right; Tablefmt.Left; Tablefmt.Left; Tablefmt.Right;
+      [ Tablefmt.Right; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right;
         Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-        Tablefmt.Right; Tablefmt.Right;
+        Tablefmt.Right;
       ]
-    [ "volume"; "style"; "mode"; "domains"; "prep ms"; "first resp ms";
-      "req/s"; "p95 us"; "faulted"; "backfilled" ]
+    [ "volume"; "style"; "domains"; "prep ms"; "first resp ms"; "req/s";
+      "p95 us"; "faulted"; "backfilled" ]
     (List.rev !rows);
   meta_extra :=
     !meta_extra
@@ -1758,26 +1697,23 @@ let migration ?(smoke = false) () =
      dataset, live migration answers its first request before the
      stop-the-world run has even finished preparing its replicas. *)
   let top = List.fold_left max 0 volumes in
-  List.iter
-    (fun mode ->
-      match
-        ( List.assoc_opt (top, "stop-the-world", mode, 2) !results,
-          List.assoc_opt (top, "live", mode, 2) !results )
-      with
-      | Some (stw_prep, _), Some (_, live_first) ->
-          Printf.printf
-            "%s, %d records: live first response %.3fs vs stop-the-world \
-             prepare %.3fs (%.1fx)\n"
-            mode top live_first stw_prep (stw_prep /. live_first);
-          if smoke && live_first >= stw_prep then begin
-            Printf.eprintf
-              "MIGRATION REGRESSION: %s-mode live first response (%.3fs) \
-               does not beat bulk preparation (%.3fs) at %d records\n"
-              mode live_first stw_prep top;
-            exit 1
-          end
-      | _ -> ())
-    (if smoke then [ "epoch"; "barrier" ] else [ "epoch" ]);
+  (match
+     ( List.assoc_opt (top, "stop-the-world", 2) !results,
+       List.assoc_opt (top, "live", 2) !results )
+   with
+  | Some (stw_prep, _), Some (_, live_first) ->
+      Printf.printf
+        "%d records: live first response %.3fs vs stop-the-world prepare \
+         %.3fs (%.1fx)\n"
+        top live_first stw_prep (stw_prep /. live_first);
+      if smoke && live_first >= stw_prep then begin
+        Printf.eprintf
+          "MIGRATION REGRESSION: live first response (%.3fs) does not beat \
+           bulk preparation (%.3fs) at %d records\n"
+          live_first stw_prep top;
+        exit 1
+      end
+  | _ -> ());
   if smoke then
     Printf.printf
       "smoke: live migration serves before bulk preparation completes\n"
@@ -1981,7 +1917,7 @@ let cost_bench ?(gate = false) () =
   let run_serve ~cost_based ?(stats_every = 0) ?(drift_threshold = 0.5) () =
     let config =
       { S.Pool.default_config with
-        domains = 2; shards = nshards; batch = 24; canary_seed = seed;
+        domains = 2; shards = nshards; canary_seed = seed;
         cost_based_plans = cost_based; stats_every; drift_threshold;
       }
     in
@@ -2104,9 +2040,15 @@ let cost_bench ?(gate = false) () =
    [done_at] stamp).  A scheduler that stalls the stream therefore
    pays for the queueing it causes instead of hiding it by arriving
    late — the coordinated-omission failure a closed-loop
-   service-latency histogram suffers.  [hotshard-smoke] gates skewed
-   2-domain stealing p95 against pinned and uniform stealing
-   throughput against pinned.                                          *)
+   service-latency histogram suffers.
+
+   Each cell runs [trials] times per scheduler, the schedulers taking
+   turns within a trial and swapping their order on alternate trials,
+   and reports the median over trials of each metric — one run is not
+   a sample of anything on a shared host.  The stream is long enough
+   that 50 requests lie beyond its p95.  [hotshard-smoke] gates the
+   median skewed 2-domain stealing p95 against pinned and the median
+   uniform stealing throughput against pinned.                         *)
 
 let hotshard ?(smoke = false) () =
   section
@@ -2117,9 +2059,9 @@ let hotshard ?(smoke = false) () =
         p50/p95/p99, hot shard at ~50%");
   let module S = Ccv_serve in
   let seed = 909 in
-  let n = if smoke then 96 else 360 in
+  let n = 1000 in
   let nshards = 8 in
-  let trials = 3 in
+  let trials = if smoke then 10 else 5 in
   let domain_counts = if smoke then [ 2 ] else [ 1; 2; 8 ] in
   (* a scaled instance makes each request's scans heavy enough that
      scheduling — not per-claim overhead or OS quanta — dominates the
@@ -2168,13 +2110,32 @@ let hotshard ?(smoke = false) () =
     | Ok r -> r
     | Error e -> failwith ("hotshard bench: " ^ e)
   in
+  let scheds =
+    [ ("pinned", false, 0); ("steal", true, 0); ("steal+split", true, 3) ]
+  in
   (* the served traffic is deterministic per config, so trials differ
-     only in timing: best-of-3 on each metric damps scheduler noise *)
-  let runs ~domains ~steal ~split_threshold reqs =
-    List.init trials (fun _ -> run_one ~domains ~steal ~split_threshold reqs)
+     only in timing; alternating the order keeps whichever scheduler
+     runs first in a trial (colder caches, host drift) from always
+     being the same one *)
+  let runs ~domains reqs =
+    let acc = List.map (fun (sched, _, _) -> (sched, ref [])) scheds in
+    for t = 0 to trials - 1 do
+      List.iter
+        (fun (sched, steal, split_threshold) ->
+          let r = run_one ~domains ~steal ~split_threshold reqs in
+          let l = List.assoc sched acc in
+          l := r :: !l)
+        (if t mod 2 = 0 then scheds else List.rev scheds)
+    done;
+    fun sched -> !(List.assoc sched acc)
   in
   let thr (r : S.Pool.report) = float r.S.Pool.served /. r.S.Pool.wall_s in
-  let best f = List.fold_left (fun acc r -> Float.min acc (f r)) infinity in
+  let median f rs =
+    let a = Array.of_list (List.map f rs) in
+    Array.sort Float.compare a;
+    let k = Array.length a in
+    if k mod 2 = 1 then a.(k / 2) else (a.((k / 2) - 1) +. a.(k / 2)) /. 2.
+  in
   (* open-loop latencies for one run against a fixed arrival schedule:
      arrival.(k) is the intended offset of the stream's k-th request
      from serving start, approximated by the earliest service start
@@ -2213,18 +2174,16 @@ let hotshard ?(smoke = false) () =
         reqs;
       List.iter
         (fun domains ->
-          let pinned_runs = runs ~domains ~steal:false ~split_threshold:0 reqs in
+          let runs_of = runs ~domains reqs in
+          let pinned_runs = runs_of "pinned" in
           (* the arrival schedule every scheduler is measured against:
-             90% of the pinned scheduler's best observed capacity *)
-          let rate = 0.9 *. List.fold_left (fun a r -> Float.max a (thr r)) 0. pinned_runs in
+             90% of the pinned scheduler's median capacity *)
+          let rate = 0.9 *. median thr pinned_runs in
           let arrival = Array.init (List.length reqs) (fun k -> float k /. rate) in
           let reference = fingerprint (List.hd pinned_runs) in
           List.iter
-            (fun (sched, steal, split_threshold) ->
-              let rs =
-                if steal then runs ~domains ~steal ~split_threshold reqs
-                else pinned_runs
-              in
+            (fun (sched, _, _) ->
+              let rs = runs_of sched in
               if List.exists (fun r -> fingerprint r <> reference) rs then begin
                 Printf.eprintf
                   "HOTSHARD DIVERGENCE: %s/%s/%d domains served different \
@@ -2232,9 +2191,11 @@ let hotshard ?(smoke = false) () =
                   traffic sched domains;
                 exit 1
               end;
-              let p q = best (fun r -> percentile_us q (open_lats arrival idx_of_id r)) rs in
+              let p q =
+                median (fun r -> percentile_us q (open_lats arrival idx_of_id r)) rs
+              in
               let p50 = p 0.50 and p95 = p 0.95 and p99 = p 0.99 in
-              let rps = -.(best (fun r -> -.(thr r)) rs) in
+              let rps = median thr rs in
               let stolen, frags =
                 List.fold_left
                   (fun (s, f) (r : S.Pool.report) ->
@@ -2271,9 +2232,7 @@ let hotshard ?(smoke = false) () =
                   string_of_int stolen; string_of_int frags;
                 ]
                 :: !rows)
-            [ ("pinned", false, 0); ("steal", true, 0);
-              ("steal+split", true, 3);
-            ])
+            scheds)
         domain_counts)
     [ ("uniform", uniform); ("skewed", skewed) ];
   Tablefmt.print
@@ -2281,8 +2240,8 @@ let hotshard ?(smoke = false) () =
       (Printf.sprintf
          "hot-shard serving, %d requests, %d shards (skewed = ~50%% of the \
           stream on shard 0); open-loop latency against a fixed arrival \
-          schedule at 90%% of pinned capacity"
-         n nshards)
+          schedule at 90%% of pinned capacity; median of %d trials"
+         n nshards trials)
     ~aligns:
       [ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right;
         Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
@@ -2295,6 +2254,7 @@ let hotshard ?(smoke = false) () =
     !meta_extra
     @ [ ("hotshard_seed", string_of_int seed);
         ("hotshard_requests", string_of_int n);
+        ("hotshard_trials", string_of_int trials);
         ("hotshard_shards", string_of_int nshards);
         ("hotshard_arrival_frac_of_pinned", "0.9");
         (* translate_slice per-slot cost on this machine BEFORE this
@@ -2314,8 +2274,8 @@ let hotshard ?(smoke = false) () =
     let u_p_thr, _ = cell "uniform" "pinned" in
     Printf.printf
       "smoke skewed  pinned %8.0f req/s p95 %8.0f us | steal %8.0f req/s \
-       p95 %8.0f us (%.2fx)\n"
-      p_thr p_p95 s_thr s_p95 (s_p95 /. p_p95);
+       p95 %8.0f us (%.2fx; medians of %d trials)\n"
+      p_thr p_p95 s_thr s_p95 (s_p95 /. p_p95) trials;
     Printf.printf
       "smoke uniform pinned %8.0f req/s | steal %8.0f req/s (%.2fx)\n"
       u_p_thr u_s_thr (u_s_thr /. u_p_thr);
@@ -2327,8 +2287,8 @@ let hotshard ?(smoke = false) () =
        strict gate would only measure the OS scheduler.  Enforce it
        when the hardware can express it (CI runners), and pin the
        single-core-valid invariants — throughput parity and a
-       pathology bound on the tail — otherwise.  1.10 slack for
-       scheduler noise on millisecond-scale runs, as elsewhere. *)
+       pathology bound on the tail — otherwise.  Every figure is a
+       median over trials; 1.10 slack for the noise that remains. *)
     let cores = Domain.recommended_domain_count () in
     if cores >= 2 then begin
       if s_p95 > p_p95 *. 1.10 then begin

@@ -4,11 +4,11 @@
 # differential property suite), then write BENCH_PR1.json (index
 # micro-bench), BENCH_PR2.json (phased-coexistence service),
 # BENCH_PR4.json (compiled plans + plan cache), BENCH_PR6.json
-# (worker-pool scaling, epoch snapshots vs tick barrier),
+# (worker-pool scaling by domain count, plan cache on and off),
 # BENCH_PR7.json (live migration vs stop-the-world preparation),
 # BENCH_PR9.json (cost-based plan selection + backfill drain) and
-# BENCH_PR10.json (work-stealing vs pinned under a hot shard,
-# open-loop latency) at the repository root.
+# BENCH_PR10.json (work-stealing vs pinned claims under a hot shard,
+# open-loop latency, median of trials) at the repository root.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -338,9 +338,8 @@ let analyze_run schema program ops_raw cap corpus seed json explain =
 (* ------------------------------------------------------------------ *)
 (* serve: drive a workload through the phased-coexistence service      *)
 
-let serve_run ops_raw requests domains shards batch seed canary window
-    min_obs threshold promote strict no_plan_cache fail_request epoch_serving
-    epoch_batch epoch_lag steal split_threshold live_migration backfill_batch
+let serve_run ops_raw requests domains shards seed canary window min_obs
+    threshold promote strict no_plan_cache fail_request epoch_batch epoch_lag steal split_threshold live_migration backfill_batch
     backfill_lag skew cost_based stats_every drift_threshold explain =
   let module S = Ccv_serve in
   let module W = Ccv_workload in
@@ -398,12 +397,10 @@ let serve_run ops_raw requests domains shards batch seed canary window
   let config =
     { S.Pool.domains;
       shards;
-      batch;
       canary_seed = seed;
       tolerate_reordering = not strict;
       use_plan_cache = not no_plan_cache;
       fail_request;
-      epoch_serving;
       epoch_batch;
       epoch_lag;
       steal;
@@ -521,13 +518,13 @@ let serve_cmd =
     Arg.(value & opt int 96 & info [ "requests" ] ~docv:"N" ~doc:"workload size")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D" ~doc:"worker domains")
+    Arg.(
+      value & opt int 1
+      & info [ "domains" ] ~docv:"D"
+          ~doc:"worker domains; the pool uses min(D, shards, cores) slots")
   in
   let shards =
     Arg.(value & opt int 4 & info [ "shards" ] ~docv:"S" ~doc:"replica shards")
-  in
-  let batch =
-    Arg.(value & opt int 16 & info [ "batch" ] ~docv:"B" ~doc:"requests per tick")
   in
   let seed =
     Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed")
@@ -580,33 +577,26 @@ let serve_cmd =
           ~doc:"fault injection: crash the worker serving this request id \
                 (exercises worker-failure propagation)")
   in
-  let epoch_serving =
-    Arg.(
-      value & opt bool true
-      & info [ "epoch-serving" ] ~docv:"BOOL"
-          ~doc:"barrier-free snapshot serving (default); $(b,false) falls \
-                back to the tick-barrier loop")
-  in
   let epoch_batch =
     Arg.(
       value & opt int 16
       & info [ "epoch-batch" ] ~docv:"B"
-          ~doc:"requests per shard per epoch row (epoch serving)")
+          ~doc:"requests per shard per epoch row")
   in
   let epoch_lag =
     Arg.(
       value & opt int 2
       & info [ "epoch-lag" ] ~docv:"L"
           ~doc:"rows the phase plan is published ahead of the controller \
-                (epoch-serving pipeline depth)")
+                (pipeline depth)")
   in
   let steal =
     Arg.(
       value & opt bool true
       & info [ "steal" ] ~docv:"BOOL"
-          ~doc:"epoch serving: schedule epoch rows through the work-stealing \
-                deque — any idle worker claims the next ready row regardless \
-                of shard (default); $(b,false) pins shard s to worker s mod \
+          ~doc:"claim policy: an idle worker with an empty deque steals \
+                another worker's shard token and runs its next ready row \
+                (default); $(b,false) pins shard s to worker s mod \
                 domains.  Served output is bit-identical either way")
   in
   let split_threshold =
@@ -684,9 +674,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const serve_run $ ops_arg $ requests $ domains $ shards $ batch $ seed
+      const serve_run $ ops_arg $ requests $ domains $ shards $ seed
       $ canary $ window $ min_obs $ threshold $ promote $ strict
-      $ no_plan_cache $ fail_request $ epoch_serving $ epoch_batch
+      $ no_plan_cache $ fail_request $ epoch_batch
       $ epoch_lag $ steal $ split_threshold $ live_migration
       $ backfill_batch $ backfill_lag $ skew $ cost_based $ stats_every
       $ drift_threshold $ explain)

@@ -14,21 +14,3 @@ let reset t =
   Atomic.set t.writes 0
 
 let snapshot t = (Atomic.get t.reads, Atomic.get t.writes)
-
-(* Single-writer staging buffer: plain fields, no atomics, so a worker
-   domain charging per request touches no shared cache line until the
-   flush.  Safe publication is the caller's job — flush either on the
-   owning worker, or on the coordinator after a barrier that ordered
-   the worker's writes before the coordinator's reads. *)
-type local = { mutable lreads : int; mutable lwrites : int }
-
-let local_create () = { lreads = 0; lwrites = 0 }
-let local_record_reads l n = l.lreads <- l.lreads + n
-let local_record_write l = l.lwrites <- l.lwrites + 1
-let local_snapshot l = (l.lreads, l.lwrites)
-
-let flush_local t l =
-  if l.lreads > 0 then record_reads t l.lreads;
-  if l.lwrites > 0 then record_writes t l.lwrites;
-  l.lreads <- 0;
-  l.lwrites <- 0

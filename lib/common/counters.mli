@@ -2,19 +2,18 @@
     touches here so that experiment E1 can compare the access cost of
     converted programs against the emulation and bridge baselines.
 
-    Counters are domain-safe: the fields are [Atomic.t], so shard
-    workers running on separate domains (see [Ccv_serve]) can charge a
-    shared per-phase counter without races.  [snapshot] reads the two
+    Counters are domain-safe: the fields are [Atomic.t], so engines
+    running on separate domains can charge one counter without
+    races.  [snapshot] reads the two
     fields independently — it is not an atomic pair read.
 
     Atomic increments from many domains contend on the counter's cache
-    line, so hot loops should not charge shared counters per event.
-    {!local} is the staging half of that bargain: a plain, unshared
-    buffer each worker charges for the duration of a tick, folded into
-    the shared counter once at the barrier with {!flush_local}.  The
-    totals are the same as charging the shared counter directly (the
-    property test in [test_common] pins this); only the number of
-    atomic operations changes. *)
+    line, so hot loops should not charge a shared counter per event
+    from several domains.  The serving pool keeps its per-phase
+    counters off the request hot path altogether: shard workers carry
+    each request's access count in its outcome, and the coordinator —
+    the only writer — charges the phase counter when it consumes the
+    outcome. *)
 
 type t
 
@@ -26,7 +25,7 @@ val record_write : t -> unit
 (** Charge [n] reads at once (bulk scans). *)
 val record_reads : t -> int -> unit
 
-(** Charge [n] writes at once (per-tick flushes, bulk loads). *)
+(** Charge [n] writes at once (bulk loads). *)
 val record_writes : t -> int -> unit
 
 val reads : t -> int
@@ -36,21 +35,3 @@ val reset : t -> unit
 
 (** [diff after before] as (reads, writes) — [snapshot]-style use. *)
 val snapshot : t -> int * int
-
-(** {2 Single-writer staging buffers} *)
-
-(** Plain mutable fields, no atomics — must only ever be written by
-    one domain at a time. *)
-type local
-
-val local_create : unit -> local
-val local_record_reads : local -> int -> unit
-val local_record_write : local -> unit
-
-(** Staged (reads, writes) not yet flushed. *)
-val local_snapshot : local -> int * int
-
-(** Fold the staged charges into the shared counter and zero the
-    buffer.  Call on the buffer's owning domain, or after a barrier
-    ordering the owner's writes before this read. *)
-val flush_local : t -> local -> unit

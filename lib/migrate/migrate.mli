@@ -31,7 +31,7 @@
     the same writes, because per-record snapshot translation commutes
     with writes that always follow their records' fault-in.
 
-    All progress is keyed to logical time (epoch rows / ticks), never
+    All progress is keyed to logical time (epoch rows), never
     physical scheduling, so migration preserves the serving layer's
     domain-count determinism. *)
 

@@ -47,8 +47,7 @@ val default_config : config
 type transition = {
   at_request : int;  (** id of the request whose verdict triggered it *)
   at_epoch : int;
-      (** logical epoch of that request — tick index in barrier mode,
-          snapshot epoch in epoch mode *)
+      (** logical epoch row of that request *)
   from_ : phase;
   to_ : phase;
   reason : string;

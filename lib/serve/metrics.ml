@@ -79,10 +79,9 @@ let cell_create () =
 
 type t = {
   (* (phase, shard) cells and live per-phase counters, in first-seen
-     order; the coordinator is the only writer of the assoc structure.
-     Workers never call [live] — they charge Counters.local staging
-     buffers that the pool flushes into these counters at the tick
-     barrier, so no mutex guards the assoc lookup any more. *)
+     order; the coordinator is the only writer of the assoc structure
+     and of the counters — it charges them per consumed outcome — so
+     no mutex guards the assoc lookup. *)
   mutable cells : ((string * int) * cell) list;
   mutable live_counters : (string * Counters.t) list;
 }

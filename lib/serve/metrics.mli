@@ -4,16 +4,13 @@
     {!Ccv_common.Tablefmt} and exportable as JSON rows.
 
     Aggregation happens on the coordinating thread (outcomes are
-    merged tick by tick), and each phase also carries a {e live}
-    {!Ccv_common.Counters.t} — reads accumulate engine record
-    accesses, writes count served requests.  Shard workers no longer
-    charge it per request from their domains: they stage into
-    per-worker {!Ccv_common.Counters.local} buffers that the pool
-    flushes into the phase counter at every tick barrier — or, under
-    epoch serving, the coordinator charges it per consumed outcome —
-    so the hot path touches no shared cache line.  The charged totals
-    are the ground truth that the merged per-outcome view is checked
-    against in the tests.  Each (phase, shard) cell also counts the
+    merged row by row, in canonical order), and each phase also
+    carries a {e live} {!Ccv_common.Counters.t} — reads accumulate
+    engine record accesses, writes count served requests.  Shard
+    workers never charge it: the coordinator charges it per consumed
+    outcome, so the request hot path touches no shared cache line.
+    The charged totals are the ground truth that the merged
+    per-outcome view is checked against in the tests.  Each (phase, shard) cell also counts the
     distinct logical epochs it served, exported in the JSON rows. *)
 
 open Ccv_common
@@ -39,8 +36,7 @@ type t
 val create : unit -> t
 
 (** The shared per-phase counter, created on first use.  Coordinator
-    (and post-run reader) only — workers stage into
-    {!Ccv_common.Counters.local} buffers instead. *)
+    (and post-run reader) only. *)
 val live : t -> phase:string -> Counters.t
 
 (** Merge one outcome (coordinator thread only). *)

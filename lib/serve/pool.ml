@@ -4,12 +4,10 @@ open Ccv_migrate
 type config = {
   domains : int;
   shards : int;
-  batch : int;
   canary_seed : int;
   tolerate_reordering : bool;
   use_plan_cache : bool;
   fail_request : int option;
-  epoch_serving : bool;
   epoch_batch : int;
   epoch_lag : int;
   steal : bool;
@@ -27,12 +25,10 @@ type config = {
 let default_config =
   { domains = 1;
     shards = 4;
-    batch = 16;
     canary_seed = 0xC0FFEE;
     tolerate_reordering = true;
     use_plan_cache = true;
     fail_request = None;
-    epoch_serving = true;
     epoch_batch = 16;
     epoch_lag = 2;
     steal = true;
@@ -73,7 +69,6 @@ type report = {
   served : int;
   unserved : int;
   domains : int;
-  epoch_serving : bool;
   pool_idle_s : float;
   worker_idle_s : float list;
   steal_wait_s : float list;
@@ -113,17 +108,14 @@ let clock () = Unix.gettimeofday ()
 
 (* Replica preparation is embarrassingly parallel across shards: each
    shard translates and loads its own source/target pair from the same
-   (persistent) semantic instance.  Shards are distributed over at
-   most [recommended_domain_count] workers — replica preparation is
-   CPU-bound, and striding it over more slots than the host has cores
-   oversubscribes the machine (the prepare regression BENCH_PR5.json
-   recorded at 8 domains on a smaller host).  A lone shard instead
-   hands the pool down so the bulk data translation itself chunks
-   across the workers. *)
+   (persistent) semantic instance, shard [s] on slot [s mod slots].
+   The pool is never larger than the host's core count (see [run]), so
+   this CPU-bound work cannot oversubscribe the machine.  A lone shard
+   instead hands the pool down so the bulk data translation itself
+   chunks across the workers. *)
 let create_shards ~pool ~use_plan_cache ?cost_based ?stats_every
     ?drift_threshold ?live req sdb nshards =
-  let ndomains = Workpool.size pool in
-  let eff = max 1 (min ndomains (Domain.recommended_domain_count ())) in
+  let nslots = Workpool.size pool in
   let mk s =
     try
       Shard.create ~id:s ~pool ~use_plan_cache ?cost_based ?stats_every
@@ -131,14 +123,12 @@ let create_shards ~pool ~use_plan_cache ?cost_based ?stats_every
     with e -> Error (Printexc.to_string e)
   in
   let created =
-    if eff = 1 || nshards = 1 then List.init nshards (fun s -> (s, mk s))
+    if nslots = 1 || nshards = 1 then List.init nshards (fun s -> (s, mk s))
     else
       Workpool.step pool (fun w ->
-          if w >= eff then []
-          else
-            List.filter_map
-              (fun s -> if s mod eff = w then Some (s, mk s) else None)
-              (List.init nshards Fun.id))
+          List.filter_map
+            (fun s -> if s mod nslots = w then Some (s, mk s) else None)
+            (List.init nshards Fun.id))
       |> Array.to_list |> List.concat
   in
   let rec collect acc = function
@@ -159,14 +149,14 @@ let route ~nshards requests =
     (List.rev requests);
   per_shard
 
-let exec_request ~config ~shards ~phase ~migration_ok ~live s ~epoch ~seq
+let exec_request ~config ~shards ~phase ~migration_ok s ~epoch ~seq
     (r : Request.t) =
   if config.fail_request = Some r.Request.id then
     failwith "injected worker fault"
   else
     Shard.exec shards.(s) ~phase
       ~tolerate_reordering:config.tolerate_reordering
-      ~canary_seed:config.canary_seed ~migration_ok ~live ~clock ~epoch ~seq r
+      ~canary_seed:config.canary_seed ~migration_ok ~clock ~epoch ~seq r
 
 (* ------------------------------------------------------------------ *)
 (* Live migration rides the logical clock: before a shard executes
@@ -215,16 +205,6 @@ let drain_unrouted_shards ~shards ~rows_of =
       | Some _ | None -> ())
     shards
 
-(* First shard (by id) whose migration just failed; [None] while all
-   replicas are still being maintained. *)
-let first_migration_failure shards =
-  Array.fold_left
-    (fun acc sh ->
-      match acc, Shard.migration_failed sh with
-      | None, Some msg -> Some (Shard.id sh, msg)
-      | acc, _ -> acc)
-    None shards
-
 let divergence_of ~epoch (o : Shadow.outcome) detail =
   { div_request = o.Shadow.request.Request.id;
     div_program = o.Shadow.request.Request.aprog.Ccv_abstract.Aprog.name;
@@ -236,143 +216,19 @@ let divergence_of ~epoch (o : Shadow.outcome) detail =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Barrier mode: the pre-epoch serving loop, kept as the baseline the
-   bench compares against.  Each tick is one Workpool barrier step;
-   the tick index doubles as the outcome's logical epoch. *)
-
-let serve_ticks ~config ~pool ~shards ~ctl ~metrics ~nshards ~ndomains requests
-    =
-  let shard_ids = List.init nshards Fun.id in
-  (* every shard backfills at every tick barrier, so the schedule's
-     row count is simply the number of ticks *)
-  let total_ticks =
-    (List.length requests + config.batch - 1) / max 1 config.batch
-  in
-  let mig_failed = ref false in
-  if config.live_migration then
-    drain_unrouted_shards ~shards ~rows_of:(fun _ -> total_ticks);
-  (* per-worker staging buffers, reused across ticks; worker w is the
-     only writer between barriers *)
-  let locals = Array.init ndomains (fun _ -> Counters.local_create ()) in
-  let rec ticks tick remaining outcomes_rev div_rev =
-    match remaining, Cutover.status ctl with
-    | [], _ | _, Cutover.Aborted ->
-        Ok (List.rev outcomes_rev, List.rev div_rev, List.length remaining)
-    | _, Cutover.Serving -> (
-        let batch, rest = take config.batch remaining in
-        let phase = Cutover.phase ctl in
-        let live = Metrics.live metrics ~phase:(Cutover.phase_name phase) in
-        let per_shard = route ~nshards batch in
-        let mok = not !mig_failed in
-        let job w =
-          let local = locals.(w) in
-          let out = ref [] and fault = ref None in
-          List.iter
-            (fun s ->
-              if s mod ndomains = w && !fault = None then begin
-                if config.live_migration && mok then
-                  backfill_shard ~config ~shards s ~rows:total_ticks
-                    ~row:tick;
-                List.iteri
-                  (fun seq r ->
-                    if !fault = None then
-                      match
-                        exec_request ~config ~shards ~phase ~migration_ok:mok
-                          ~live:local s ~epoch:tick ~seq r
-                      with
-                      | o -> out := o :: !out
-                      | exception e ->
-                          fault :=
-                            Some
-                              { at_shard = s;
-                                at_request = r.Request.id;
-                                fault_detail = Printexc.to_string e;
-                              })
-                  per_shard.(s)
-              end)
-            shard_ids;
-          match !fault with Some f -> Error f | None -> Ok (List.rev !out)
-        in
-        let results = Array.to_list (Workpool.step pool job) in
-        (* tick barrier: fold every worker's staged charges into this
-           tick's phase counter (coordinator is the only Atomic writer
-           now, one flush per worker per tick) *)
-        Array.iter (fun l -> Counters.flush_local live l) locals;
-        let faults =
-          List.filter_map (function Error f -> Some f | Ok _ -> None) results
-        in
-        match faults with
-        | f0 :: _ ->
-            (* earliest request id, so the report does not depend on
-               which worker slot observed its fault first *)
-            Error
-              (List.fold_left
-                 (fun a b -> if b.at_request < a.at_request then b else a)
-                 f0 faults)
-        | [] ->
-            let outcomes =
-              List.concat_map (function Ok os -> os | Error _ -> []) results
-              |> List.sort (fun (a : Shadow.outcome) b ->
-                     Int.compare a.Shadow.request.Request.id
-                       b.Shadow.request.Request.id)
-            in
-            (* the barrier quiesces the workers, so the coordinator may
-               inspect the shards directly: a migration failure rolls
-               the controller back before this tick's verdicts land *)
-            (if config.live_migration && not !mig_failed then
-               match first_migration_failure shards with
-               | None -> ()
-               | Some (s, msg) ->
-                   mig_failed := true;
-                   let min_id ~of_shard =
-                     List.fold_left
-                       (fun acc (o : Shadow.outcome) ->
-                         if of_shard = None || of_shard = Some o.Shadow.shard
-                         then min acc o.Shadow.request.Request.id
-                         else acc)
-                       max_int outcomes
-                   in
-                   let at = min_id ~of_shard:(Some s) in
-                   let at = if at = max_int then min_id ~of_shard:None else at in
-                   let at = if at = max_int then -1 else at in
-                   Cutover.rollback_to_shadow ctl ~at ~epoch:tick
-                     ~reason:(Printf.sprintf "live migration failed: %s" msg));
-            if config.live_migration then
-              Cutover.set_gate ctl
-                ((not !mig_failed)
-                && migration_converged ~config ~shards
-                     ~rows_of:(fun _ -> total_ticks)
-                     tick);
-            let div_rev =
-              List.fold_left
-                (fun acc (o : Shadow.outcome) ->
-                  Metrics.record metrics o;
-                  if o.Shadow.shadowed then
-                    Cutover.observe ctl ~request_id:o.Shadow.request.Request.id
-                      ~epoch:tick ~divergent:o.Shadow.divergent;
-                  match Shadow.divergence_detail o with
-                  | None -> acc
-                  | Some detail -> divergence_of ~epoch:tick o detail :: acc)
-                div_rev outcomes
-            in
-            ticks (tick + 1) rest (List.rev_append outcomes outcomes_rev)
-              div_rev)
-  in
-  ticks 0 requests [] []
-
-(* ------------------------------------------------------------------ *)
-(* Epoch mode: barrier-free serving over published snapshots.
+(* The scheduler: barrier-free serving over published snapshots.
 
    Each shard's slice of the stream is chunked into epoch rows of
-   [epoch_batch] requests.  The worker owning a shard executes its
-   rows strictly in epoch order (so the replica pair evolves exactly
-   as it would sequentially) and publishes each finished row into a
-   per-shard single-producer mailbox; nobody waits at any barrier.
-   The coordinator drains the mailboxes into an {!Ccv_common.Epoch}
-   reorder buffer and consumes complete rows in canonical
-   [(epoch, shard, seq)] order — the same total order no matter how
-   the physical arrivals interleave, which is what keeps the report
-   deterministic across domain counts.
+   [epoch_batch] requests.  A shard's rows execute strictly in epoch
+   order (so its replica pair evolves exactly as it would
+   sequentially), and every finished row is published — by a worker
+   through a per-shard single-producer mailbox, by the coordinator
+   straight into the reorder buffer; nobody waits at any barrier.  The
+   coordinator drains the mailboxes into an {!Ccv_common.Epoch} reorder
+   buffer and consumes complete rows in canonical [(epoch, shard, seq)]
+   order — the same total order no matter how the physical arrivals
+   interleave, which is what keeps the report deterministic across
+   domain counts.
 
    The phase a row executes under is pre-committed: [plan.(e)] is an
    atomic cell the coordinator publishes once it has consumed row
@@ -381,13 +237,28 @@ let serve_ticks ~config ~pool ~shards ~ctl ~metrics ~nshards ~ndomains requests
    pipeline, not a race: the plan is part of the deterministic order,
    so the same stream yields the same phases at any domain count.
 
-   [halt_at] stops the pipeline early (abort or fault): workers skip
-   rows at or beyond it, and the wait-for-phase loops exit instead of
-   spinning on a cell that will never be published. *)
+   Who runs which row is decided by tokens: a token is a shard cursor
+   in one of the per-slot deques of a {!Ccv_common.Stealqueue}, and
+   shard [s] starts on slot [s mod slots].  Every slot, the coordinator
+   included, loops claiming a token, running its shard's next ready
+   sub-row and requeuing it.  The claim policy is the one difference
+   between the two schedules: stealing claims the slot's own deque
+   first and then another slot's, so a hot shard's rows migrate to
+   whoever has cycles; pinned claims the slot's own deque only, so a
+   shard stays on its home slot.
+
+   [halt_at] stops the pipeline early (abort or fault): rows at or
+   beyond it are never run.  A token retires — decrementing [pending]
+   — in the claim that runs its last sub-row or finds its next row
+   past the fence.  Workers claim until [pending] reaches zero, and the
+   coordinator zeroes it once it has consumed everything it will
+   consume: that releases workers waiting on tokens nobody will run
+   (after an abort, a pinned coordinator's own), and means no worker
+   leaves while a row it could still run is unpublished. *)
 
 (* A finished row carries its outcomes plus the owning shard's
    migration-failure message, if any: shard state belongs to the
-   owning worker, so failure travels to the coordinator with the row
+   token holder, so failure travels to the coordinator with the row
    instead of being read across domains. *)
 type epoch_payload =
   | Done of Shadow.outcome list * string option
@@ -397,7 +268,7 @@ type epoch_payload =
    lists concatenate — the sub-chunks partition the row's slice in
    order, so concatenation restores exactly the payload an unsplit
    execution would have published; a fault anywhere in the row
-   supersedes the partial outcomes, exactly as an unsplit worker
+   supersedes the partial outcomes, exactly as an unsplit execution
    discards the outcomes it ran before the faulting request; the first
    fragment to observe the shard's migration failure carries the
    message (the flag is sticky, so later fragments agree). *)
@@ -414,8 +285,8 @@ let merge_payload a b =
    holder touches them, and the queue's CAS orders each handoff. *)
 type token = { ts : int; mutable trow : int; mutable tsub : int }
 
-let serve_epochs ~config ~pool ~shards ~ctl ~metrics ~nshards ~ndomains ~eff
-    ~wait_idle ~steal_exec ~steal_stolen ~steal_splits requests =
+let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
+  let nslots = Workpool.size pool in
   let ebatch = max 1 config.epoch_batch in
   let lag = max 1 config.epoch_lag in
   let shard_rows =
@@ -426,7 +297,7 @@ let serve_epochs ~config ~pool ~shards ~ctl ~metrics ~nshards ~ndomains ~eff
   let rows = Array.map Array.length shard_rows in
   if config.live_migration then
     drain_unrouted_shards ~shards ~rows_of:(fun s -> rows.(s));
-  (* Hot-shard row splitting (steal mode only): a row longer than the
+  (* Hot-shard row splitting (stealing only): a row longer than the
      threshold is cut into sub-rows that successive holders of the
      shard's token execute back-to-back — several workers end up
      pipelining one hot shard's row while the reorder buffer merges the
@@ -454,24 +325,22 @@ let serve_epochs ~config ~pool ~shards ~ctl ~metrics ~nshards ~ndomains ~eff
   done;
   let halt_at = Atomic.make max_int in
   let mailboxes = Array.init nshards (fun _ -> Snapshot.mailbox ()) in
-  let locals = Array.init ndomains (fun _ -> Counters.local_create ()) in
-  let idle_wait w f =
-    (* bounded pause off the hot path; charged to this slot's idle *)
-    let t0 = clock () in
-    f ();
-    wait_idle.(w) <- wait_idle.(w) +. (clock () -. t0)
-  in
+  (* per-slot activity; each cell is written only by the domain running
+     that slot and read after the drain *)
+  let sub_rows_run = Array.make nslots 0 in
+  let stolen = Array.make nslots 0 in
+  let split_frags = Array.make nslots 0 in
   (* Run sub-chunk [k] of row [(s, e)]; [seq] stays the request's rank
      within the whole row ([seq_base + i]), so outcome keys are
      identical whether or not the row was split. *)
-  let exec_sub ~live ~phase ~migration_ok s e k =
+  let exec_sub ~phase ~migration_ok s e k =
     let seq_base, chunk = sub_rows.(s).(e).(k) in
     let out = ref [] and fault = ref None in
     List.iteri
       (fun i r ->
         if !fault = None then
           match
-            exec_request ~config ~shards ~phase ~migration_ok ~live s ~epoch:e
+            exec_request ~config ~shards ~phase ~migration_ok s ~epoch:e
               ~seq:(seq_base + i) r
           with
           | o -> out := o :: !out
@@ -487,47 +356,7 @@ let serve_epochs ~config ~pool ~shards ~ctl ~metrics ~nshards ~ndomains ~eff
     | Some f -> Failed f
     | None -> Done (List.rev !out, Shard.migration_failed shards.(s))
   in
-  (* Advance one owned shard if its next row is ready; [publish] posts
-     the finished row (workers go through their mailbox, the
-     coordinator writes the reorder buffer directly).  On a fault the
-     shard's remaining rows are filled with the same fault so the
-     reorder buffer still completes — rows behind a dead shard must
-     not stall the canonical order. *)
-  let advance ~live ~next ~publish s =
-    let e = next.(s) in
-    if e >= rows.(s) then false
-    else if Atomic.get halt_at <= e then begin
-      next.(s) <- rows.(s);
-      true
-    end
-    else
-      match Snapshot.read plan.(e) with
-      | None -> false
-      | Some (phase, mok) ->
-          if config.live_migration && mok then
-            backfill_shard ~config ~shards s ~rows:rows.(s) ~row:e;
-          (match exec_sub ~live ~phase ~migration_ok:mok s e 0 with
-          | Failed f as p ->
-              publish s e p;
-              for e' = e + 1 to rows.(s) - 1 do
-                publish s e' (Failed f)
-              done;
-              next.(s) <- rows.(s)
-          | Done _ as p ->
-              publish s e p;
-              next.(s) <- e + 1);
-          true
-  in
-  (* Shard ownership strides over the [eff] engaged slots only: an
-     epoch worker that cannot get a core to itself spins against the
-     coordinator instead of helping it (the same oversubscription
-     cliff BENCH_PR5 measured for translation), so surplus slots stay
-     dark.  The reorder buffer makes the served trace independent of
-     which slot ran which shard, so clamping changes wall clock
-     only. *)
-  let owned w = List.filter (fun s -> s mod eff = w) (List.init nshards Fun.id) in
-  (* Coordinator state: interleaves executing work of its own, draining
-     the mailboxes, and consuming complete rows in canonical order. *)
+  (* Coordinator state: consuming complete rows in canonical order. *)
   let outcomes_rev = ref [] and div_rev = ref [] in
   let error = ref None in
   let mig_failed = ref false in
@@ -587,9 +416,6 @@ let serve_epochs ~config ~pool ~shards ~ctl ~metrics ~nshards ~ndomains ~eff
                 List.iter
                   (fun (o : Shadow.outcome) ->
                     Metrics.record metrics o;
-                    (* no barrier to flush staged charges at: the
-                       coordinator charges the phase's live counter
-                       per consumed outcome instead *)
                     let live = Metrics.live metrics ~phase:o.Shadow.phase in
                     Counters.record_reads live
                       (o.Shadow.source_accesses + o.Shadow.target_accesses);
@@ -650,240 +476,212 @@ let serve_epochs ~config ~pool ~shards ~ctl ~metrics ~nshards ~ndomains ~eff
     !error <> None || Epoch.frontier buf >= total
     || Atomic.get halt_at <= Epoch.frontier buf
   in
-  (* One coordinator iteration step shared by both schedulers:
-     [produce] is whatever scheduling strategy the coordinator itself
-     contributes per iteration. *)
-  let coordinator_loop produce =
+  (* Tokens: one per shard with rows, on its home slot. *)
+  let q = Stealqueue.create ~slots:nslots in
+  let pending = Atomic.make 0 in
+  Array.iteri
+    (fun s n ->
+      if n > 0 then begin
+        Atomic.incr pending;
+        Stealqueue.push q ~slot:(s mod nslots) { ts = s; trow = 0; tsub = 0 }
+      end)
+    rows;
+  let claim ~slot =
+    if config.steal then Stealqueue.claim q ~slot
+    else
+      match Stealqueue.pop q ~slot with
+      | Some tok -> Stealqueue.Own tok
+      | None -> Stealqueue.Empty
+  in
+  (* Complete shard [tok.ts]'s remaining sub-rows with [Failed f],
+     starting at the cursor, and park the cursor at the end: rows
+     behind a dead shard must not stall the canonical order. *)
+  let fault_fill publish tok f =
+    let s = tok.ts in
+    let e0 = tok.trow in
+    if e0 < rows.(s) then begin
+      let n0 = Array.length sub_rows.(s).(e0) in
+      for k = tok.tsub to n0 - 1 do
+        publish s e0 k n0 (Failed f)
+      done;
+      for e' = e0 + 1 to rows.(s) - 1 do
+        let n' = Array.length sub_rows.(s).(e') in
+        for k = 0 to n' - 1 do
+          publish s e' k n' (Failed f)
+        done
+      done
+    end;
+    tok.trow <- rows.(s);
+    tok.tsub <- 0
+  in
+  (* Run the token's next sub-row once its phase is published.
+     [`Retire] when the token has nothing left to run: its last sub-row
+     just ran, a fault filled its remaining rows, or its next row lies
+     past the halt fence and will never be consumed. *)
+  let run_token ~slot ~publish tok =
+    let s = tok.ts in
+    let e = tok.trow in
+    if Atomic.get halt_at <= e then `Retire
+    else
+      match Snapshot.read plan.(e) with
+      | None -> `Blocked
+      | Some (phase, mok) ->
+          let nsub = Array.length sub_rows.(s).(e) in
+          (* backfill once per row, before its first sub-row — the
+             schedule is a function of logical time, and the later
+             sub-rows run strictly after this one through the token's
+             sequential chain *)
+          if tok.tsub = 0 && config.live_migration && mok then
+            backfill_shard ~config ~shards s ~rows:rows.(s) ~row:e;
+          sub_rows_run.(slot) <- sub_rows_run.(slot) + 1;
+          if nsub > 1 then split_frags.(slot) <- split_frags.(slot) + 1;
+          (match exec_sub ~phase ~migration_ok:mok s e tok.tsub with
+          | Failed f -> fault_fill publish tok f
+          | Done _ as p ->
+              publish s e tok.tsub nsub p;
+              if tok.tsub + 1 >= nsub then begin
+                tok.trow <- e + 1;
+                tok.tsub <- 0
+              end
+              else tok.tsub <- tok.tsub + 1);
+          if tok.trow >= rows.(s) then `Retire else `Ran
+  in
+  (* One claim-and-run: [`Ran] when a sub-row ran or a token retired,
+     [`Blocked] when the claimed token waits on an unpublished phase
+     cell, [`Empty] when there was nothing to claim.  Time spent
+     claiming that comes up empty or steals is charged as steal-wait,
+     not idle. *)
+  let run_claim ~slot ~publish =
+    let t0 = clock () in
+    match claim ~slot with
+    | Stealqueue.Empty ->
+        Workpool.charge_steal_wait pool ~slot (clock () -. t0);
+        `Empty
+    | (Stealqueue.Own tok | Stealqueue.Stolen tok) as c -> (
+        (match c with
+        | Stealqueue.Stolen _ ->
+            stolen.(slot) <- stolen.(slot) + 1;
+            Workpool.charge_steal_wait pool ~slot (clock () -. t0)
+        | _ -> ());
+        match
+          try run_token ~slot ~publish tok
+          with ex ->
+            (* a scheduler-side failure (request faults are caught in
+               [exec_sub]) must still complete the shard's rows or the
+               canonical order stalls; best-effort fill, then retire —
+               rows that stay unpublished anyway are caught by the
+               coordinator's quiescence sweep *)
+            let f =
+              { at_shard = tok.ts;
+                at_request = -1;
+                fault_detail = "scheduler: " ^ Printexc.to_string ex;
+              }
+            in
+            (try fault_fill publish tok f with _ -> ());
+            `Retire
+        with
+        | `Ran ->
+            (* requeue at the tail: tokens cycle round-robin, so every
+               shard keeps pace with the arrival schedule — re-pushing
+               at the head would grind one shard to its lag fence while
+               the others' requests age (bursty completions, fat
+               open-loop tail) *)
+            Stealqueue.push_back q ~slot tok;
+            `Ran
+        | `Blocked ->
+            (* park at the tail: the owner cycles past it, a thief
+               finds it first *)
+            Stealqueue.push_back q ~slot tok;
+            `Blocked
+        | `Retire ->
+            Atomic.decr pending;
+            `Ran)
+  in
+  (* A worker cannot leave while tokens are live (a hot shard may
+     still need it), so while empty-handed it backs off exponentially
+     instead of waking every few microseconds.  Holding a blocked token
+     is different: its row runs as soon as the coordinator publishes
+     the phase cell, and under pinning nobody else will run it, so that
+     slot keeps napping at the short interval. *)
+  let worker w =
+    let publish s e k n p = Snapshot.post mailboxes.(s) (e, k, n, p) in
     let spins = ref 0 in
-    let running = ref true in
-    while !running do
-      let progress = produce () in
+    let nap = ref 50e-6 in
+    while Atomic.get pending > 0 do
+      match run_claim ~slot:w ~publish with
+      | `Ran ->
+          spins := 0;
+          nap := 50e-6
+      | (`Blocked | `Empty) when !spins < 200 ->
+          incr spins;
+          Domain.cpu_relax ()
+      | (`Blocked | `Empty) as c ->
+          let t0 = clock () in
+          if c = `Blocked then Unix.sleepf 50e-6
+          else begin
+            Unix.sleepf !nap;
+            nap := Float.min (2. *. !nap) 2e-3
+          end;
+          Workpool.charge_idle pool ~slot:w (clock () -. t0)
+    done
+  in
+  (* The coordinator claims like any other slot, but publishes into the
+     reorder buffer directly — no mailbox hop for slot 0.  One claim per
+     pass: it must come back to the mailboxes (and the plan-cell
+     publication consuming drives) after every sub-row, or workers
+     block on unpublished phase cells while it grinds through a
+     burst. *)
+  let coordinate () =
+    let publish s e k n p =
+      Epoch.publish_sub buf ~shard:s ~epoch:e ~subseq:k ~nsub:n p
+    in
+    let spins = ref 0 in
+    while not (finished ()) do
+      let progress = run_claim ~slot:0 ~publish = `Ran in
       let progress = drain_mailboxes () || progress in
       let progress = pop_rows () || progress in
-      if finished () then running := false
-      else if progress then spins := 0
-      else if eff > 1 && Workpool.quiescent pool then begin
-        (* workers exited; whatever they posted is final — one last
-           sweep, then anything still missing means a job died *)
+      if progress || finished () then spins := 0
+      else if nslots > 1 && Workpool.quiescent pool then begin
+        (* workers leave only once every token retired, so whatever
+           they posted is final — one last sweep, then anything still
+           missing means a job died ([drain] raises for a crash) *)
         Workpool.drain pool;
         ignore (drain_mailboxes ());
         ignore (pop_rows ());
         if not (finished ()) then
           failwith
-            "epoch serving: workers exited without completing their rows";
-        running := false
+            "epoch serving: workers exited without completing their rows"
       end
       else if !spins < 200 then begin
         incr spins;
         Domain.cpu_relax ()
       end
-      else idle_wait 0 (fun () -> Unix.sleepf 50e-6)
+      else begin
+        let t0 = clock () in
+        Unix.sleepf 50e-6;
+        Workpool.charge_idle pool ~slot:0 (clock () -. t0)
+      end
     done
   in
-  (if not config.steal then begin
-     (* Pinned scheduler (the pre-PR10 baseline, kept for A/B runs):
-        shard ownership strides statically over the engaged slots, so
-        a hot shard is stuck with whichever worker owns it. *)
-     let worker_job w =
-       let live = locals.(w) in
-       let my = owned w in
-       let next = Array.make nshards 0 in
-       let publish s e p = Snapshot.post mailboxes.(s) (e, 0, 1, p) in
-       let spins = ref 0 in
-       while List.exists (fun s -> next.(s) < rows.(s)) my do
-         let progress =
-           List.fold_left
-             (fun p s -> advance ~live ~next ~publish s || p)
-             false my
-         in
-         if progress then spins := 0
-         else if !spins < 200 then begin
-           incr spins;
-           Domain.cpu_relax ()
-         end
-         else idle_wait w (fun () -> Unix.sleepf 50e-6)
-       done
-     in
-     if eff > 1 then Workpool.submit pool worker_job;
-     let my = owned 0 in
-     let next = Array.make nshards 0 in
-     let publish s e p = Epoch.publish buf ~shard:s ~epoch:e p in
-     coordinator_loop (fun () ->
-         List.fold_left
-           (fun p s -> advance ~live:locals.(0) ~next ~publish s || p)
-           false my)
-   end
-   else begin
-     (* Work-stealing scheduler: shard cursors circulate as tokens in
-        per-slot deques; any idle slot (the coordinator included)
-        claims the next ready token — its own first, then a steal —
-        so a hot shard's rows migrate to whoever has cycles instead of
-        queueing behind one pinned owner. *)
-     let q = Stealqueue.create ~slots:eff in
-     let pending = Atomic.make 0 in
-     Array.iteri
-       (fun s n ->
-         if n > 0 then begin
-           Atomic.incr pending;
-           Stealqueue.push q ~slot:(s mod eff) { ts = s; trow = 0; tsub = 0 }
-         end)
-       rows;
-     (* Complete shard [tok.ts]'s remaining sub-rows with [Failed f],
-        starting at the cursor, and park the cursor at the end: rows
-        behind a dead shard must not stall the canonical order. *)
-     let fault_fill publish tok f =
-       let s = tok.ts in
-       let e0 = tok.trow in
-       if e0 < rows.(s) then begin
-         let n0 = Array.length sub_rows.(s).(e0) in
-         for k = tok.tsub to n0 - 1 do
-           publish s e0 k n0 (Failed f)
-         done;
-         for e' = e0 + 1 to rows.(s) - 1 do
-           let n' = Array.length sub_rows.(s).(e') in
-           for k = 0 to n' - 1 do
-             publish s e' k n' (Failed f)
-           done
-         done
-       end;
-       tok.trow <- rows.(s);
-       tok.tsub <- 0
-     in
-     let try_run_token ~slot ~live ~publish tok =
-       let s = tok.ts in
-       if tok.trow >= rows.(s) then `Finished
-       else if Atomic.get halt_at <= tok.trow then begin
-         (* rows at or past the halt fence are never consumed *)
-         tok.trow <- rows.(s);
-         tok.tsub <- 0;
-         `Finished
-       end
-       else begin
-         let e = tok.trow in
-         match Snapshot.read plan.(e) with
-         | None -> `Blocked
-         | Some (phase, mok) ->
-             let nsub = Array.length sub_rows.(s).(e) in
-             (* backfill once per row, before its first sub-row — the
-                schedule is a function of logical time, and the later
-                sub-rows run strictly after this one through the
-                token's sequential chain *)
-             if tok.tsub = 0 && config.live_migration && mok then
-               backfill_shard ~config ~shards s ~rows:rows.(s) ~row:e;
-             steal_exec.(slot) <- steal_exec.(slot) + 1;
-             if nsub > 1 then steal_splits.(slot) <- steal_splits.(slot) + 1;
-             (match exec_sub ~live ~phase ~migration_ok:mok s e tok.tsub with
-             | Failed f -> fault_fill publish tok f
-             | Done _ as p ->
-                 publish s e tok.tsub nsub p;
-                 if tok.tsub + 1 >= nsub then begin
-                   tok.trow <- e + 1;
-                   tok.tsub <- 0
-                 end
-                 else tok.tsub <- tok.tsub + 1);
-             `Progress
-       end
-     in
-     (* One claim-and-run; [`Progress] iff a sub-row ran or a token
-        retired.  Time spent probing beyond the local deque is charged
-        as steal-wait, not idle. *)
-     let run_claim ~slot ~live ~publish =
-       let t0 = clock () in
-       match Stealqueue.claim q ~slot with
-       | Stealqueue.Empty ->
-           Workpool.charge_steal_wait pool ~slot (clock () -. t0);
-           `Nothing
-       | (Stealqueue.Own tok | Stealqueue.Stolen tok) as c ->
-           (match c with
-           | Stealqueue.Stolen _ ->
-               steal_stolen.(slot) <- steal_stolen.(slot) + 1;
-               Workpool.charge_steal_wait pool ~slot (clock () -. t0)
-           | _ -> ());
-           (match
-              try try_run_token ~slot ~live ~publish tok
-              with ex ->
-                (* a scheduler-side failure (request faults are caught
-                   in [exec_sub]) must still complete the shard's rows,
-                   or peers spin on [pending] forever; best-effort
-                   fill, then retire — rows that stay unpublished
-                   anyway are caught by the quiescence sweep *)
-                let f =
-                  { at_shard = tok.ts;
-                    at_request = -1;
-                    fault_detail = "scheduler: " ^ Printexc.to_string ex;
-                  }
-                in
-                (try fault_fill publish tok f with _ -> ());
-                `Finished
-            with
-           | `Progress ->
-               (* requeue at the tail: tokens cycle round-robin, so
-                  every shard keeps pace with the arrival schedule —
-                  re-pushing at the head would grind one shard to its
-                  lag fence while the others' requests age (bursty
-                  completions, fat open-loop tail) *)
-               Stealqueue.push_back q ~slot tok;
-               `Progress
-           | `Blocked ->
-               (* park at the tail: the owner cycles past it, a thief
-                  finds it first *)
-               Stealqueue.push_back q ~slot tok;
-               `Nothing
-           | `Finished ->
-               Atomic.decr pending;
-               `Progress)
-     in
-     let steal_job w =
-       let live = locals.(w) in
-       let publish s e k n p = Snapshot.post mailboxes.(s) (e, k, n, p) in
-       let spins = ref 0 in
-       (* Exponential backoff while empty-handed: unlike a pinned
-          worker, a steal worker cannot exit when its own shards are
-          done (a hot shard may still need it), so on an oversubscribed
-          host a fixed short nap would keep preempting the slot that is
-          actually serving.  Doubling toward a cap approximates the
-          pinned worker's exit without giving up work conservation. *)
-       let nap = ref 50e-6 in
-       while Atomic.get pending > 0 do
-         match run_claim ~slot:w ~live ~publish with
-         | `Progress ->
-             spins := 0;
-             nap := 50e-6
-         | `Nothing ->
-             if !spins < 200 then begin
-               incr spins;
-               Domain.cpu_relax ()
-             end
-             else begin
-               (* truly idle: nothing runnable anywhere right now *)
-               let t0 = clock () in
-               Unix.sleepf !nap;
-               nap := Float.min (2. *. !nap) 2e-3;
-               Workpool.charge_idle pool ~slot:w (clock () -. t0)
-             end
-       done
-     in
-     if eff > 1 then Workpool.submit pool steal_job;
-     (* the coordinator claims like any other slot, but publishes into
-        the reorder buffer directly — no mailbox hop for slot 0 *)
-     let publish_direct s e k n p =
-       Epoch.publish_sub buf ~shard:s ~epoch:e ~subseq:k ~nsub:n p
-     in
-     (* one claim per loop pass: the coordinator must come back to the
-        mailboxes (and the plan-cell publication consuming drives)
-        after every sub-row, or workers block on unpublished phase
-        cells while it grinds through a burst *)
-     coordinator_loop (fun () ->
-         run_claim ~slot:0 ~live:locals.(0) ~publish:publish_direct
-         = `Progress)
-   end);
-  if eff > 1 then Workpool.drain pool;
+  if nslots > 1 then Workpool.submit pool worker;
+  Fun.protect ~finally:(fun () -> Atomic.set pending 0) coordinate;
+  if nslots > 1 then Workpool.drain pool;
   match !error with
   | Some f -> Error f
   | None ->
       let outcomes = List.rev !outcomes_rev in
-      let served = List.length outcomes in
-      Ok (outcomes, List.rev !div_rev, List.length requests - served)
+      let slots =
+        List.init nslots (fun i ->
+            { sub_rows_run = sub_rows_run.(i);
+              stolen = stolen.(i);
+              split_frags = split_frags.(i);
+            })
+      in
+      Ok
+        ( outcomes,
+          List.rev !div_rev,
+          List.length requests - List.length outcomes,
+          slots )
 
 (* ------------------------------------------------------------------ *)
 
@@ -897,7 +695,12 @@ let run ?(config = default_config) ~cutover req sdb requests =
        convergence gate has no say over a pre-promoted target"
   else
   let nshards = max 1 config.shards in
-  let ndomains = max 1 (min config.domains nshards) in
+  (* One slot count for the pool, the steal queue and the report: past
+     the shard count a slot has nothing to own, and past the core count
+     it competes with the coordinator for a core instead of helping. *)
+  let ndomains =
+    max 1 (min (min config.domains nshards) (Domain.recommended_domain_count ()))
+  in
   Workpool.with_pool ~clock ndomains @@ fun pool ->
   let live =
     if config.live_migration then
@@ -918,68 +721,24 @@ let run ?(config = default_config) ~cutover req sdb requests =
       let prepare_s = clock () -. t_prep in
       let ctl = Cutover.create cutover in
       let metrics = Metrics.create () in
-      (* epoch-mode frontier waits, per slot; stays zero in barrier
-         mode where the pool's park time is the only idle *)
-      let wait_idle = Array.make ndomains 0. in
-      (* steal-scheduler activity, per slot; each cell is written only
-         by the domain running that slot and read after the drain *)
-      let steal_exec = Array.make ndomains 0 in
-      let steal_stolen = Array.make ndomains 0 in
-      let steal_splits = Array.make ndomains 0 in
-      (* slots the epoch scheduler actually engages: past the hardware
-         domain count a slot competes with the coordinator for cores
-         instead of helping it *)
-      let eff =
-        if config.epoch_serving then
-          max 1 (min ndomains (Domain.recommended_domain_count ()))
-        else ndomains
-      in
       let t0 = clock () in
-      let result =
-        if config.epoch_serving then
-          serve_epochs ~config ~pool ~shards ~ctl ~metrics ~nshards ~ndomains
-            ~eff ~wait_idle ~steal_exec ~steal_stolen ~steal_splits requests
-        else
-          serve_ticks ~config ~pool ~shards ~ctl ~metrics ~nshards ~ndomains
-            requests
-      in
+      let result = serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests in
       (match result with
       | Error { at_shard; at_request; fault_detail } ->
           Error
             (Printf.sprintf "worker failure at shard %d, request %d: %s"
                at_shard at_request fault_detail)
-      | Ok (outcomes, divergences, unserved) ->
+      | Ok (outcomes, divergences, unserved, slots) ->
           let plan_stats =
             Array.fold_left
               (fun acc s ->
                 Ccv_plan.Plan_cache.add_stats acc (Shard.plan_stats s))
               Ccv_plan.Plan_cache.zero_stats shards
           in
-          (* true idle = barrier park time + the idle a steal worker
-             charged itself while nothing was runnable; steal-probe
-             time is reported separately, it is not idleness *)
-          let park = Workpool.charged_idle_times pool in
-          let swait = Workpool.steal_wait_times pool in
-          (* slots the epoch scheduler left dark report 0: they were
-             never asked to serve, so their park time is not
-             coordination overhead *)
-          let worker_idle_s =
-            List.init ndomains (fun i ->
-                if i < eff then park.(i) +. wait_idle.(i) else 0.)
-          in
-          let steal_wait_s =
-            List.init ndomains (fun i -> if i < eff then swait.(i) else 0.)
-          in
-          let steal_stats =
-            if config.epoch_serving && config.steal then
-              Some
-                (List.init ndomains (fun i ->
-                     { sub_rows_run = steal_exec.(i);
-                       stolen = steal_stolen.(i);
-                       split_frags = steal_splits.(i);
-                     }))
-            else None
-          in
+          (* idle = pool park time plus what each slot charged itself
+             while nothing was runnable; steal-probe time is reported
+             separately, it is not idleness *)
+          let worker_idle_s = Array.to_list (Workpool.charged_idle_times pool) in
           (* Serving-time index advice: re-run the plan-layer scan
              advisor under the statistics current plans are costed
              under (rebased on drift), once per distinct program — the
@@ -1072,11 +831,10 @@ let run ?(config = default_config) ~cutover req sdb requests =
               served = List.length outcomes;
               unserved;
               domains = ndomains;
-              epoch_serving = config.epoch_serving;
               pool_idle_s = List.fold_left ( +. ) 0. worker_idle_s;
               worker_idle_s;
-              steal_wait_s;
-              steal_stats;
+              steal_wait_s = Array.to_list (Workpool.steal_wait_times pool);
+              steal_stats = Some slots;
               index_advice;
               prepare_s;
               wall_s = clock () -. t0;
@@ -1097,17 +855,15 @@ let render r =
        | Cutover.Aborted ->
            Printf.sprintf "ABORTED, %d request(s) unserved" r.unserved));
   Buffer.add_string b
-    (Printf.sprintf "pool: %d worker domain(s), %s, %.3fs idle (%s)\n"
-       r.domains
-       (if r.epoch_serving then "epoch serving" else "tick barrier")
-       r.pool_idle_s
+    (Printf.sprintf "pool: %d worker domain(s), %.3fs idle (%s)\n"
+       r.domains r.pool_idle_s
        (String.concat ", "
           (List.map (Printf.sprintf "%.3f") r.worker_idle_s)));
   (match r.steal_stats with
   | None -> ()
   | Some slots ->
       Buffer.add_string b
-        (Printf.sprintf "steal scheduler: %s; steal-wait %.3fs (%s)\n"
+        (Printf.sprintf "scheduler: %s; steal-wait %.3fs (%s)\n"
            (String.concat ", "
               (List.mapi
                  (fun i s ->

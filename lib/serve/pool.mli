@@ -1,39 +1,41 @@
 (** The serving loop: a persistent OCaml 5 [Domain] worker pool over
-    shards, in one of two synchronization modes.
+    shards, driven by one barrier-free scheduler.
 
-    {b Tick barrier} ([epoch_serving = false]): each tick takes the
-    next [batch] requests in id order, routes them to their shards
-    ([Request.shard_of]), executes shard [s]'s slice on worker
-    [s mod domains], parks the workers at the tick barrier, then feeds
-    the shadow verdicts to the controller in request-id order.
-
-    {b Epoch serving} ([epoch_serving = true], the default): no
-    barrier at all.  Each shard's slice of the stream is chunked into
-    {e epoch rows} of [epoch_batch] requests; the worker owning a
-    shard executes its rows strictly in epoch order and publishes each
-    finished row through a per-shard single-producer mailbox
-    ({!Ccv_common.Snapshot}).  The coordinator reassembles the rows in
-    an {!Ccv_common.Epoch} reorder buffer and consumes them in
+    Each shard's slice of the stream is chunked into {e epoch rows} of
+    [epoch_batch] requests.  A shard's rows run strictly in epoch
+    order; each finished row is published — through a per-shard
+    single-producer mailbox ({!Ccv_common.Snapshot}) from a worker, or
+    directly from the coordinator.  The coordinator reassembles the
+    rows in an {!Ccv_common.Epoch} reorder buffer and consumes them in
     canonical [(epoch, shard, seq)] order; the phase a row executes
     under is pre-committed through published atomic cells, [epoch_lag]
-    rows ahead of the controller.  Workers never block on each other —
-    a fast shard runs ahead of a slow one instead of parking at a
-    barrier, which is where the idle seconds the bench measures go.
+    rows ahead of the controller.  Nobody waits at a barrier — a fast
+    shard runs ahead of a slow one.
 
-    Either way, phase decisions depend only on the request stream, the
-    seed, and the shard count — never on the domain count or physical
-    scheduling — so the same stream under 1 domain and under 8 yields
-    the same transitions, divergence log and served output.  Epoch
-    mode trades the per-tick controller cadence for a per-row one, so
-    the two modes may transition at different request ids; within a
-    mode, runs are bit-for-bit reproducible.
+    {b Two claim policies.}  Shard cursors circulate as tokens in
+    per-slot deques ({!Ccv_common.Stealqueue}); shard [s] starts on
+    slot [s mod domains], and every slot — the coordinator included —
+    loops claiming a token and running its shard's next ready row.
+    With [steal] (the default) a slot claims its own deque first and
+    then steals from the others, so a hot shard's backlog migrates to
+    whoever has cycles.  Pinned ([steal = false]) claims only the
+    slot's own deque, so a shard stays on its home slot — the baseline
+    stealing is measured against.
 
-    Workers stage their access charges in per-worker
-    {!Ccv_common.Counters.local} buffers (plain mutable ints, no
-    atomics).  At a tick barrier the coordinator folds them into the
-    phase's live counter; under epoch serving it charges the live
-    counter per consumed outcome instead.  Either way the request hot
-    path shares no counter cache line between domains.
+    {b One slot count.}  The pool has [min domains shards cores] slots
+    ({!Domain.recommended_domain_count}); the steal queue and every
+    per-slot field of the {!report} have exactly that many entries,
+    and [report.domains] is that number.
+
+    Phase decisions depend only on the request stream, the seed, the
+    shard count and [epoch_batch]/[epoch_lag] — never on the domain
+    count, the claim policy or physical scheduling — so the same stream
+    under 1 domain and under 8, stealing or pinned, yields the same
+    transitions, divergence log and served output, bit for bit.
+
+    Workers charge no shared counter per request: each outcome carries
+    its access counts, and the coordinator charges the phase's live
+    counter when it consumes the outcome.
 
     A worker never lets an exception escape into the pool.  Faults are
     caught next to the failing request and surfaced as [Error] from
@@ -45,9 +47,10 @@ open Ccv_model
 open Ccv_convert
 
 type config = {
-  domains : int;  (** worker domains in the pool; capped at [shards] *)
+  domains : int;
+      (** worker domains asked for; the pool uses
+          [min domains shards cores] slots ({!report.domains}) *)
   shards : int;  (** replica pairs; fixes routing, so keep it stable *)
-  batch : int;  (** requests per tick (barrier mode only) *)
   canary_seed : int;  (** seed for deterministic canary routing *)
   tolerate_reordering : bool;
       (** accept [Modulo_order] (§5.2's weaker level); [false] demands
@@ -60,22 +63,19 @@ type config = {
       (** fault injection: the worker executing this request id raises
           instead, exercising the crash-propagation path ([Error] from
           {!run}).  [None] (the default) in production *)
-  epoch_serving : bool;  (** barrier-free snapshot serving (default) *)
-  epoch_batch : int;
-      (** requests per shard per epoch row (epoch mode only) *)
+  epoch_batch : int;  (** requests per shard per epoch row *)
   epoch_lag : int;
       (** how many rows ahead of the controller the phase plan is
           published — the pipeline depth; clamped to at least 1 *)
   steal : bool;
-      (** epoch mode only: schedule epoch rows through a work-stealing
-          deque ({!Ccv_common.Stealqueue}) instead of pinning shard [s]
-          to worker [s mod domains].  Shard cursors circulate as
-          tokens; any idle slot — the coordinator included — claims the
-          next ready row regardless of shard, so a hot shard's backlog
-          migrates to whoever has cycles.  Results still flow through
-          the reorder buffer, so outcomes, transitions and divergence
-          logs are bit-identical to the pinned schedule at any domain
-          count.  Default [true]. *)
+      (** the claim policy: [true] (the default) lets an idle slot —
+          the coordinator included — steal another slot's shard token
+          once its own deque is empty, so a hot shard's backlog
+          migrates to whoever has cycles; [false] pins shard [s] to
+          slot [s mod domains].  Results flow through the reorder
+          buffer either way, so outcomes, transitions and divergence
+          logs are bit-identical under both policies at any domain
+          count. *)
   split_threshold : int;
       (** with [steal], rows longer than this many requests are split
           into sub-rows executed by successive token holders and
@@ -92,8 +92,8 @@ type config = {
           shard's backfill schedule provably covers its keyspace.
           Requires [cutover.initial = Shadow]. *)
   backfill_batch : int;
-      (** pending records drained per shard per logical row (tick or
-          epoch row) during live migration *)
+      (** pending records drained per shard per epoch row during live
+          migration *)
   backfill_lag : int;
       (** logical rows served before backfill starts — keeps the very
           first responses free of drain work *)
@@ -128,12 +128,12 @@ type divergence = {
   div_program : string;
   div_phase : string;
   div_shard : int;
-  div_epoch : int;  (** logical epoch (tick index in barrier mode) *)
+  div_epoch : int;  (** logical epoch row *)
   div_seq : int;  (** rank within the shard's slice of that epoch *)
   detail : string;  (** names the first differing event *)
 }
 
-(** Per-slot steal-scheduler activity. *)
+(** Per-slot scheduler activity. *)
 type slot_steal = {
   sub_rows_run : int;  (** sub-rows this slot executed *)
   stolen : int;  (** claims served by stealing another slot's token *)
@@ -142,9 +142,8 @@ type slot_steal = {
 
 type report = {
   outcomes : Shadow.outcome list;
-      (** all served requests, in consumption order: request-id order
-          per tick (barrier mode) or canonical [(epoch, shard, seq)]
-          order (epoch mode) *)
+      (** all served requests, in canonical [(epoch, shard, seq)]
+          consumption order *)
   transitions : Cutover.transition list;
   divergences : divergence list;
   final_phase : Cutover.phase;
@@ -155,24 +154,23 @@ type report = {
           when [use_plan_cache] is off *)
   served : int;
   unserved : int;  (** requests dropped by an abort *)
-  domains : int;  (** worker slots actually used (after the shard cap) *)
-  epoch_serving : bool;  (** which mode produced this report *)
+  domains : int;
+      (** worker slots the pool used: [min domains shards cores].
+          Every per-slot list below has exactly this many entries. *)
   pool_idle_s : float;
-      (** cumulative seconds workers spent not serving — parked at the
-          tick barrier, or (epoch mode) sleeping on an unpublished
-          phase cell.  The coordination-overhead signal the bench
-          compares across the two modes. *)
+      (** cumulative seconds the slots spent with nothing runnable
+          (sleeping on an unpublished phase cell, or parked in the
+          pool) — the coordination-overhead signal *)
   worker_idle_s : float list;
-      (** the same, per worker slot (slot 0 is the coordinator) — the
-          skew between slots is the load-imbalance signal.  Slots the
-          epoch scheduler left dark (beyond the hardware domain count)
-          report 0. *)
+      (** the same, per slot (slot 0 is the coordinator) — the skew
+          between slots is the load-imbalance signal *)
   steal_wait_s : float list;
       (** per-slot seconds spent probing beyond the local deque (a
           claim that stole, or came up empty) — separated from idle:
           a slot hunting for work is load-shedding, not starved *)
   steal_stats : slot_steal list option;
-      (** per-slot scheduler activity; [None] outside steal mode *)
+      (** per-slot scheduler activity, one entry per slot; always
+          [Some] (under the pinned policy every [stolen] is 0) *)
   index_advice : string list;
       (** serving-time {!Ccv_convert.Advisor.index_suggestions} under
           the statistics current plans are costed under (drift-rebased
@@ -194,7 +192,7 @@ type report = {
   replica_fingerprint : string option;
       (** digest over the per-shard canonical target-replica
           fingerprints ({!Ccv_migrate.Migrate.fingerprint_target}), in
-          shard order — equal across serving modes, domain counts and
+          shard order — equal across claim policies, domain counts and
           eager/lazy preparation for the same stream; [None] unless
           [fingerprint_replicas] *)
 }

@@ -15,8 +15,7 @@ type outcome = {
   request : Request.t;
   shard : int;
   epoch : int;
-      (** logical epoch the request executed under: the tick index in
-          barrier mode, the shard's snapshot epoch in epoch mode *)
+      (** the shard's logical epoch row the request executed in *)
   seq : int;  (** position within the shard's slice of that epoch *)
   phase : string;  (** {!Cutover.phase_name} at execution time *)
   decision : decision;

@@ -1,4 +1,3 @@
-open Ccv_common
 open Ccv_convert
 open Ccv_migrate
 open Ccv_plan
@@ -210,7 +209,7 @@ let resolve t ~epoch aprog =
             fun () -> run_target t tp [] )
 
 let exec t ~phase ~tolerate_reordering ~canary_seed ?(migration_ok = true)
-    ~live ~clock ~epoch ~seq request =
+    ~clock ~epoch ~seq request =
   let t0 = clock () in
   check_drift t;
   (* Live migration: admit, then fault in everything the request may
@@ -246,8 +245,6 @@ let exec t ~phase ~tolerate_reordering ~canary_seed ?(migration_ok = true)
   let phase_name = Cutover.phase_name phase in
   let finish ~decision ~shadowed ~verdict ~divergent ~refused ~served_trace
       ~source_accesses ~target_accesses =
-    Counters.local_record_reads live (source_accesses + target_accesses);
-    Counters.local_record_write live;
     let tdone = clock () in
     { Shadow.request;
       shard = t.shard_id;

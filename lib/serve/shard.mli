@@ -5,7 +5,6 @@
     request makes are retained in the shard's replicas for subsequent
     requests of the same shard. *)
 
-open Ccv_common
 open Ccv_model
 open Ccv_convert
 
@@ -73,14 +72,13 @@ val plan_stats : t -> Ccv_plan.Plan_cache.stats
     unless the shard was created [~cost_based:true]. *)
 val baseline_stats : t -> Ccv_plan.Stats.t option
 
-(** Execute one request under the given phase.  [live] is the calling
-    worker's staging buffer, charged while the request runs (engine
-    accesses as reads, one write per served request); the pool flushes
-    it into the shared per-phase counter (tick barrier) or charges per
-    consumed outcome (epoch serving).  [epoch]/[seq] stamp the outcome
-    with its logical position — the tick index or snapshot epoch, and
-    the request's rank within the shard's slice of it — and [epoch]
-    also tags plan-cache compilations done on this request's behalf.
+(** Execute one request under the given phase.  [epoch]/[seq] stamp
+    the outcome with its logical position — the epoch row and the
+    request's rank within the shard's slice of it — and [epoch] also
+    tags plan-cache compilations done on this request's behalf.  The
+    outcome carries the request's engine accesses; the pool's
+    coordinator charges them to the phase's live counter when it
+    consumes the outcome, so execution touches no shared counter.
     [clock] supplies seconds for latency measurement.
 
     Under live migration the request's touch set is faulted in first
@@ -94,7 +92,6 @@ val exec :
   tolerate_reordering:bool ->
   canary_seed:int ->
   ?migration_ok:bool ->
-  live:Counters.local ->
   clock:(unit -> float) ->
   epoch:int ->
   seq:int ->

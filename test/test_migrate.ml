@@ -2,10 +2,9 @@
    fills online by fault-in, backfill and dual-applied writes.  The
    lazy run must be observationally identical to the eager one — same
    transitions, same served output, bit-identical final target
-   replicas — at any domain count and in both serving modes; the
-   backfill schedule must be monotone; and a backfill fault must roll
-   the controller back to source-only serving instead of erroring the
-   run. *)
+   replicas — at any domain count; the backfill schedule must be
+   monotone; and a backfill fault must roll the controller back to
+   source-only serving instead of erroring the run. *)
 
 open Ccv_common
 open Ccv_transform
@@ -57,14 +56,11 @@ let requests ~n =
   Request.stream ~seed:707 W.Company.schema ~sample:(W.Company.instance ())
     ~n ()
 
-let run_service ?(domains = 1) ?(epoch_serving = true) ?(live = false)
-    ?fail_backfill ?(n = 128) () =
+let run_service ?(domains = 1) ?(live = false) ?fail_backfill ?(n = 128) () =
   let config =
     { Pool.default_config with
       domains;
       shards = 8;
-      batch = 8;
-      epoch_serving;
       epoch_batch = 2;
       canary_seed = 707;
       live_migration = live;
@@ -109,60 +105,48 @@ let source_output (r : Pool.report) =
 (* ------------------------------------------------------------------ *)
 (* (a) lazy serving converges to the eager run: same transitions, same
    served output, bit-identical target replicas — across 1/2/8
-   domains and in both serving modes                                   *)
+   domains                                                             *)
 
 let lazy_converges_to_eager () =
+  let mode_name = "epoch" in
+  let eager = run_service () in
+  check (mode_name ^ ": eager baseline reaches cutover") true
+    (Cutover.equal_phase eager.Pool.final_phase Cutover.Cutover);
+  check (mode_name ^ ": eager baseline is clean") true
+    (eager.Pool.divergences = []);
+  let reference = ref None in
   List.iter
-    (fun (mode_name, epoch_serving) ->
-      let eager = run_service ~epoch_serving () in
-      check (mode_name ^ ": eager baseline reaches cutover") true
-        (Cutover.equal_phase eager.Pool.final_phase Cutover.Cutover);
-      check (mode_name ^ ": eager baseline is clean") true
-        (eager.Pool.divergences = []);
-      let reference = ref None in
-      List.iter
-        (fun domains ->
-          let label = Printf.sprintf "%s, %d domain(s)" mode_name domains in
-          let live = run_service ~epoch_serving ~live:true ~domains () in
-          check (label ^ ": lazy run reaches cutover") true
-            (Cutover.equal_phase live.Pool.final_phase Cutover.Cutover);
-          check (label ^ ": no divergences") true
-            (live.Pool.divergences = []);
-          check (label ^ ": same transitions as eager") true
-            (live.Pool.transitions = eager.Pool.transitions);
-          check (label ^ ": same source-served output as eager") true
-            (source_output live = source_output eager);
-          check (label ^ ": target replicas bit-identical to eager") true
-            (live.Pool.replica_fingerprint <> None
-            && live.Pool.replica_fingerprint = eager.Pool.replica_fingerprint);
-          (match !reference with
-          | None -> reference := Some (terminal_output live)
-          | Some out ->
-              check (label ^ ": full output identical across domain counts")
-                true
-                (terminal_output live = out));
-          match live.Pool.migration with
-          | None -> Alcotest.failf "%s: no migration summary" label
-          | Some m ->
-              check (label ^ ": migration completed") true
-                (m.Migrate.mig_failed = None);
-              check (label ^ ": fault-in and backfill both ran") true
-                (m.Migrate.faulted > 0 && m.Migrate.backfilled > 0);
-              check (label ^ ": every slot drained") true
-                (m.Migrate.faulted + m.Migrate.backfilled
-                = m.Migrate.total_slots))
-        [ 1; 2; 8 ])
-    [ ("epoch", true); ("barrier", false) ]
-
-(* The two serving modes must agree on the final replica contents even
-   though their logical clocks (ticks vs epoch rows) pace backfill
-   differently. *)
-let modes_agree_on_replicas () =
-  let e = run_service ~epoch_serving:true ~live:true () in
-  let b = run_service ~epoch_serving:false ~live:true () in
-  check "epoch and barrier modes leave identical replicas" true
-    (e.Pool.replica_fingerprint = b.Pool.replica_fingerprint
-    && e.Pool.replica_fingerprint <> None)
+    (fun domains ->
+      let label = Printf.sprintf "%s, %d domain(s)" mode_name domains in
+      let live = run_service ~live:true ~domains () in
+      check (label ^ ": lazy run reaches cutover") true
+        (Cutover.equal_phase live.Pool.final_phase Cutover.Cutover);
+      check (label ^ ": no divergences") true
+        (live.Pool.divergences = []);
+      check (label ^ ": same transitions as eager") true
+        (live.Pool.transitions = eager.Pool.transitions);
+      check (label ^ ": same source-served output as eager") true
+        (source_output live = source_output eager);
+      check (label ^ ": target replicas bit-identical to eager") true
+        (live.Pool.replica_fingerprint <> None
+        && live.Pool.replica_fingerprint = eager.Pool.replica_fingerprint);
+      (match !reference with
+      | None -> reference := Some (terminal_output live)
+      | Some out ->
+          check (label ^ ": full output identical across domain counts")
+            true
+            (terminal_output live = out));
+      match live.Pool.migration with
+      | None -> Alcotest.failf "%s: no migration summary" label
+      | Some m ->
+          check (label ^ ": migration completed") true
+            (m.Migrate.mig_failed = None);
+          check (label ^ ": fault-in and backfill both ran") true
+            (m.Migrate.faulted > 0 && m.Migrate.backfilled > 0);
+          check (label ^ ": every slot drained") true
+            (m.Migrate.faulted + m.Migrate.backfilled
+            = m.Migrate.total_slots))
+    [ 1; 2; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* (b) the backfill schedule is monotone, bounded and total            *)
@@ -191,57 +175,51 @@ let watermark_props =
 (* (c) a backfill fault rolls the pool back to source-only serving     *)
 
 let backfill_fault_rolls_back () =
-  List.iter
-    (fun (mode_name, epoch_serving) ->
-      let go domains =
-        run_service ~epoch_serving ~live:true ~domains
-          ~fail_backfill:(2, 5) ()
-      in
-      let r = go 1 in
-      let label = mode_name in
-      check (label ^ ": run completes despite the fault") true
-        (r.Pool.status = Cutover.Serving);
-      check (label ^ ": never leaves shadow") true
-        (Cutover.equal_phase r.Pool.final_phase Cutover.Shadow);
-      check (label ^ ": everything served") true
-        (r.Pool.served = 128 && r.Pool.unserved = 0);
-      (match r.Pool.migration with
-      | None -> Alcotest.failf "%s: no migration summary" label
-      | Some m ->
-          check (label ^ ": failure recorded") true
-            (match m.Migrate.mig_failed with
-            | Some msg -> contains ~affix:"injected backfill fault" msg
-            | None -> false));
-      check (label ^ ": rollback transition recorded") true
-        (List.exists
-           (fun (t : Cutover.transition) ->
-             contains ~affix:"live migration failed" t.Cutover.reason
-             && Cutover.equal_phase t.Cutover.to_ Cutover.Shadow)
-           r.Pool.transitions);
-      (* after the rollback the stream is served from the source
-         replicas alone, unshadowed *)
-      let tail =
-        match
-          List.filteri
-            (fun i _ -> i >= r.Pool.served - 16)
-            r.Pool.outcomes
-        with
-        | [] -> Alcotest.failf "%s: empty tail" label
-        | os -> os
-      in
-      check (label ^ ": tail serves source-only, unshadowed") true
-        (List.for_all
-           (fun (o : Shadow.outcome) ->
-             o.Shadow.decision = Shadow.Serve_source
-             && not o.Shadow.shadowed)
-           tail);
-      (* the failure path is as deterministic as the happy one *)
-      let r2 = go 2 in
-      check (label ^ ": fault handling identical across domain counts")
-        true
-        (r.Pool.transitions = r2.Pool.transitions
-        && terminal_output r = terminal_output r2))
-    [ ("epoch", true); ("barrier", false) ]
+  let label = "epoch" in
+  let go domains = run_service ~live:true ~domains ~fail_backfill:(2, 5) () in
+  let r = go 1 in
+  check (label ^ ": run completes despite the fault") true
+    (r.Pool.status = Cutover.Serving);
+  check (label ^ ": never leaves shadow") true
+    (Cutover.equal_phase r.Pool.final_phase Cutover.Shadow);
+  check (label ^ ": everything served") true
+    (r.Pool.served = 128 && r.Pool.unserved = 0);
+  (match r.Pool.migration with
+  | None -> Alcotest.failf "%s: no migration summary" label
+  | Some m ->
+      check (label ^ ": failure recorded") true
+        (match m.Migrate.mig_failed with
+        | Some msg -> contains ~affix:"injected backfill fault" msg
+        | None -> false));
+  check (label ^ ": rollback transition recorded") true
+    (List.exists
+       (fun (t : Cutover.transition) ->
+         contains ~affix:"live migration failed" t.Cutover.reason
+         && Cutover.equal_phase t.Cutover.to_ Cutover.Shadow)
+       r.Pool.transitions);
+  (* after the rollback the stream is served from the source
+     replicas alone, unshadowed *)
+  let tail =
+    match
+      List.filteri
+        (fun i _ -> i >= r.Pool.served - 16)
+        r.Pool.outcomes
+    with
+    | [] -> Alcotest.failf "%s: empty tail" label
+    | os -> os
+  in
+  check (label ^ ": tail serves source-only, unshadowed") true
+    (List.for_all
+       (fun (o : Shadow.outcome) ->
+         o.Shadow.decision = Shadow.Serve_source
+         && not o.Shadow.shadowed)
+       tail);
+  (* the failure path is as deterministic as the happy one *)
+  let r2 = go 2 in
+  check (label ^ ": fault handling identical across domain counts")
+    true
+    (r.Pool.transitions = r2.Pool.transitions
+    && terminal_output r = terminal_output r2)
 
 (* ------------------------------------------------------------------ *)
 (* (d) Zipf-skewed workload generation                                 *)
@@ -337,7 +315,6 @@ let deep_navigation_refused_at_admission () =
   let config =
     { Pool.default_config with
       shards = 8;
-      batch = 8;
       canary_seed = 707;
       epoch_batch = 2;
       live_migration = true;
@@ -376,8 +353,6 @@ let () =
     [ ( "live migration",
         [ Alcotest.test_case "lazy converges to eager" `Slow
             lazy_converges_to_eager;
-          Alcotest.test_case "modes agree on replicas" `Quick
-            modes_agree_on_replicas;
           QCheck_alcotest.to_alcotest watermark_props;
           Alcotest.test_case "backfill fault rolls back" `Slow
             backfill_fault_rolls_back;

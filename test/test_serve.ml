@@ -45,13 +45,13 @@ let net_req ops =
 let requests ~seed ~n =
   Request.stream ~seed W.Company.schema ~sample:(W.Company.instance ()) ~n ()
 
-let run_service ?(domains = 1) ?(shards = 4) ?(batch = 8)
-    ?(use_plan_cache = true) ?(epoch_serving = true) ?(epoch_batch = 8)
-    ?(steal = true) ?(split_threshold = 0) ~cutover ops reqs =
+let run_service ?(domains = 1) ?(shards = 4) ?(use_plan_cache = true)
+    ?(epoch_batch = 8) ?(steal = true) ?(split_threshold = 0) ~cutover ops
+    reqs =
   let config =
     { Pool.default_config with
-      domains; shards; batch; canary_seed = 7; use_plan_cache;
-      epoch_serving; epoch_batch; steal; split_threshold;
+      domains; shards; canary_seed = 7; use_plan_cache; epoch_batch; steal;
+      split_threshold;
     }
   in
   match Pool.run ~config ~cutover (net_req ops) (W.Company.instance ()) reqs with
@@ -213,8 +213,11 @@ let deterministic_across_domain_counts () =
   in
   check "1 domain = 2 domains" true (fp a = fp b);
   check "1 domain = 8 domains" true (fp a = fp c);
+  let cores = Domain.recommended_domain_count () in
   check "report records the domain count used" true
-    (a.Pool.domains = 1 && b.Pool.domains = 2 && c.Pool.domains = 8);
+    (a.Pool.domains = 1
+    && b.Pool.domains = min 2 cores
+    && c.Pool.domains = min 8 cores);
   check "per-worker idle is reported per slot" true
     (List.for_all
        (fun (r : Pool.report) ->
@@ -224,22 +227,6 @@ let deterministic_across_domain_counts () =
               -. r.Pool.pool_idle_s)
             < 1e-9)
        [ a; b; c ])
-
-(* The same invariant must keep holding for the tick-barrier loop the
-   epoch mode replaced — it stays around as the bench baseline. *)
-let deterministic_across_domain_counts_barrier () =
-  let go domains =
-    let reqs = requests ~seed:707 ~n:64 in
-    run_service ~domains ~shards:8 ~epoch_serving:false
-      ~cutover:rollback_cutover [ restrict_op ] reqs
-  in
-  let a = go 1 and b = go 8 in
-  check "barrier mode: 1 domain = 8 domains" true
-    ( terminal_output a = terminal_output b
-    && a.Pool.transitions = b.Pool.transitions
-    && a.Pool.divergences = b.Pool.divergences );
-  check "barrier mode flagged in the report" true
-    ((not a.Pool.epoch_serving) && not b.Pool.epoch_serving)
 
 (* Epoch mode's determinism mechanism is the canonical consumption
    order: outcomes and the divergence log must come out sorted by
@@ -251,7 +238,6 @@ let epoch_log_in_canonical_order () =
     run_service ~domains:4 ~shards:8 ~epoch_batch:4
       ~cutover:rollback_cutover [ restrict_op ] reqs
   in
-  check "epoch mode flagged in the report" true r.Pool.epoch_serving;
   let okey (o : Shadow.outcome) = (o.Shadow.epoch, o.Shadow.shard, o.Shadow.seq) in
   let keys = List.map okey r.Pool.outcomes in
   check "outcomes in (epoch, shard, seq) order" true
@@ -273,39 +259,6 @@ let epoch_log_in_canonical_order () =
            (fun (o : Shadow.outcome) -> o.Shadow.divergent && okey o = k)
            r.Pool.outcomes)
        dkeys)
-
-(* With the phase pinned, the two modes must serve request-for-request
-   identical traffic: each shard executes its slice in the same order
-   under the same phase, so only the report's consumption order may
-   differ. *)
-let pinned_phase_modes_agree () =
-  let pinned =
-    { Cutover.default_config with
-      promote_after = max_int;
-      initial = Cutover.Shadow;
-      max_divergence_rate = 2.0;
-    }
-  in
-  let reqs = requests ~seed:909 ~n:72 in
-  let go epoch_serving =
-    run_service ~domains:4 ~shards:8 ~epoch_serving ~cutover:pinned
-      [ restrict_op ] reqs
-  in
-  let by_id r =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) (terminal_output r)
-  in
-  let epoch = go true and barrier = go false in
-  check "pinned phase: same served traffic in both modes" true
-    (by_id epoch = by_id barrier);
-  check "pinned phase: no transitions either way" true
-    (epoch.Pool.transitions = [] && barrier.Pool.transitions = []);
-  check "same divergent request ids" true
-    (List.sort compare
-       (List.map (fun (d : Pool.divergence) -> d.Pool.div_request)
-          epoch.Pool.divergences)
-    = List.sort compare
-        (List.map (fun (d : Pool.divergence) -> d.Pool.div_request)
-           barrier.Pool.divergences))
 
 (* ------------------------------------------------------------------ *)
 (* (d') the work-stealing scheduler: schedule-neutral by construction  *)
@@ -338,8 +291,12 @@ let steal_report_shape () =
         List.length slots = stealing.Pool.domains
         && List.fold_left (fun acc s -> acc + s.Pool.sub_rows_run) 0 slots > 0
     | None -> false);
-  check "pinned mode reports no steal stats" true
-    (pinned.Pool.steal_stats = None);
+  check "pinned mode never steals" true
+    (match pinned.Pool.steal_stats with
+    | Some slots ->
+        List.length slots = pinned.Pool.domains
+        && List.for_all (fun s -> s.Pool.stolen = 0) slots
+    | None -> false);
   check "steal-wait reported per slot" true
     (List.length stealing.Pool.steal_wait_s = stealing.Pool.domains);
   check "splitting ran" true
@@ -435,6 +392,25 @@ let serving_index_advice () =
     (List.length costed.Pool.outcomes = List.length reqs
     && terminal_output costed = terminal_output heuristic)
 
+(* Everything a schedule could perturb: each outcome with its logical
+   key and served output, plus transitions, divergences and totals. *)
+let full_fingerprint (r : Pool.report) =
+  ( List.map
+      (fun (o : Shadow.outcome) ->
+        ( o.Shadow.request.Request.id,
+          o.Shadow.phase,
+          o.Shadow.shard,
+          o.Shadow.epoch,
+          o.Shadow.seq,
+          o.Shadow.shadowed,
+          o.Shadow.divergent,
+          Io_trace.terminal_lines o.Shadow.served_trace ))
+      r.Pool.outcomes,
+    r.Pool.transitions,
+    r.Pool.divergences,
+    r.Pool.served,
+    Cutover.phase_name r.Pool.final_phase )
+
 (* The tentpole invariant: stealing, stealing-with-splitting and the
    pinned schedule are the same service.  Whatever stream the
    generator deals — uniform or concentrated on one hot shard — every
@@ -452,25 +428,9 @@ let steal_pinned_fingerprint_prop =
         if skewed then skew_to_shard0 ~shards r else r
       in
       let go ~domains ~steal ?(split_threshold = 0) () =
-        let r =
-          run_service ~domains ~shards ~epoch_batch:4 ~steal ~split_threshold
-            ~cutover:rollback_cutover [ restrict_op ] reqs
-        in
-        ( List.map
-            (fun (o : Shadow.outcome) ->
-              ( o.Shadow.request.Request.id,
-                o.Shadow.phase,
-                o.Shadow.shard,
-                o.Shadow.epoch,
-                o.Shadow.seq,
-                o.Shadow.shadowed,
-                o.Shadow.divergent,
-                Io_trace.terminal_lines o.Shadow.served_trace ))
-            r.Pool.outcomes,
-          r.Pool.transitions,
-          r.Pool.divergences,
-          r.Pool.served,
-          Cutover.phase_name r.Pool.final_phase )
+        full_fingerprint
+          (run_service ~domains ~shards ~epoch_batch:4 ~steal ~split_threshold
+             ~cutover:rollback_cutover [ restrict_op ] reqs)
       in
       let reference = go ~domains:1 ~steal:false () in
       List.for_all
@@ -506,17 +466,84 @@ let epoch_determinism_prop =
       let a = fp (go 1) and b = fp (go 2) and c = fp (go 8) in
       a = b && a = c)
 
+(* Pinned claims must terminate as reliably as stealing ones.  A
+   pinned worker that left as soon as its own shards were done let the
+   coordinator's quiescence sweep fire while the coordinator's own rows
+   still waited on a phase cell, and [Pool.run] raised instead of
+   serving.  The race is probabilistic, so sweep many seeds of a
+   skewed stream that rolls the canary back. *)
+let pinned_termination_sweep () =
+  let shards = 5 in
+  let failures = ref [] in
+  for seed = 1 to 600 do
+    let reqs = skew_to_shard0 ~shards (requests ~seed ~n:32) in
+    let go domains =
+      let config =
+        { Pool.default_config with
+          domains; shards; canary_seed = 7; epoch_batch = 4; steal = false;
+        }
+      in
+      match
+        Pool.run ~config ~cutover:rollback_cutover (net_req [ restrict_op ])
+          (W.Company.instance ()) reqs
+      with
+      | Ok r -> Ok (full_fingerprint r)
+      | Error e -> Error e
+      | exception ex -> Error (Printexc.to_string ex)
+    in
+    let reference = go 1 in
+    List.iter
+      (fun domains ->
+        let r = go domains in
+        if Result.is_error r || r <> reference then
+          failures := (seed, domains) :: !failures)
+      [ 2; 8 ]
+  done;
+  if !failures <> [] then
+    Alcotest.failf "pinned runs failed or diverged at (seed, domains): %s"
+      (String.concat ", "
+         (List.rev_map (fun (s, d) -> Printf.sprintf "(%d, %d)" s d) !failures))
+
+(* More domains than cores: the pool, the steal queue and the report
+   share one slot count, [min domains shards cores], whatever was asked
+   for — and the served output still equals the 1-domain run. *)
+let more_domains_than_cores () =
+  let cores = Domain.recommended_domain_count () in
+  let domains = (2 * cores) + 1 in
+  let shards = domains in
+  let reqs = requests ~seed:515 ~n:(8 * shards) in
+  List.iter
+    (fun steal ->
+      let label = if steal then "stealing" else "pinned" in
+      let go domains =
+        run_service ~domains ~shards ~epoch_batch:4 ~steal
+          ~cutover:rollback_cutover [ restrict_op ] reqs
+      in
+      let one = go 1 and many = go domains in
+      let n = many.Pool.domains in
+      check (label ^ ": one slot per core") true (n = cores);
+      check (label ^ ": idle reported per slot") true
+        (List.length many.Pool.worker_idle_s = n);
+      check (label ^ ": steal-wait reported per slot") true
+        (List.length many.Pool.steal_wait_s = n);
+      check (label ^ ": scheduler stats reported per slot") true
+        (match many.Pool.steal_stats with
+        | Some slots -> List.length slots = n
+        | None -> false);
+      check (label ^ ": outcomes equal the 1-domain run") true
+        (full_fingerprint many = full_fingerprint one))
+    [ true; false ]
+
 (* ------------------------------------------------------------------ *)
 (* (e) worker crashes surface as Error, not a hang or a corrupt report *)
 
 let worker_fault_propagates () =
   let reqs = requests ~seed:606 ~n:40 in
   List.iter
-    (fun (epoch_serving, domains) ->
+    (fun domains ->
       let config =
         { Pool.default_config with
-          domains; shards = 4; batch = 8; canary_seed = 7;
-          fail_request = Some 17; epoch_serving;
+          domains; shards = 4; canary_seed = 7; fail_request = Some 17;
         }
       in
       match
@@ -524,20 +551,15 @@ let worker_fault_propagates () =
           (W.Company.instance ()) reqs
       with
       | Ok _ ->
-          Alcotest.failf "%s, %d domains: injected fault did not surface"
-            (if epoch_serving then "epoch" else "barrier")
+          Alcotest.failf "epoch, %d domains: injected fault did not surface"
             domains
       | Error e ->
-          let label =
-            Printf.sprintf "%s, %d domains"
-              (if epoch_serving then "epoch" else "barrier")
-              domains
-          in
+          let label = Printf.sprintf "epoch, %d domains" domains in
           check (label ^ ": error names the worker failure") true
             (contains ~affix:"worker failure" e);
           check (label ^ ": error names the failing request") true
             (contains ~affix:"request 17" e))
-    [ (true, 1); (true, 2); (true, 4); (false, 1); (false, 2); (false, 4) ]
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* (d) the per-shard plan cache: same served behaviour with and
@@ -585,12 +607,8 @@ let () =
             deterministic_across_repeats;
           Alcotest.test_case "identical reports under 1, 2 and 8 domains"
             `Quick deterministic_across_domain_counts;
-          Alcotest.test_case "barrier mode stays domain-count independent"
-            `Quick deterministic_across_domain_counts_barrier;
           Alcotest.test_case "epoch log in canonical order" `Quick
             epoch_log_in_canonical_order;
-          Alcotest.test_case "pinned phase: modes serve identical traffic"
-            `Quick pinned_phase_modes_agree;
           Alcotest.test_case "worker fault propagates as Error" `Quick
             worker_fault_propagates;
           Alcotest.test_case "plan cache is behaviourally transparent" `Quick
@@ -601,6 +619,10 @@ let () =
             `Quick steal_worker_fault_propagates;
           Alcotest.test_case "serving-time index advice under live stats"
             `Quick serving_index_advice;
+          Alcotest.test_case "pinned claims terminate (600-seed sweep)" `Quick
+            pinned_termination_sweep;
+          Alcotest.test_case "more domains than cores share one slot count"
+            `Quick more_domains_than_cores;
         ] );
       ( "epoch-props",
         [ QCheck_alcotest.to_alcotest epoch_determinism_prop;
