@@ -1519,7 +1519,6 @@ let scaling ?(smoke = false) () =
         ("scaling_best_cached_req_per_s", json_float (snd best));
         ("epoch_batch",
          string_of_int S.Pool.default_config.S.Pool.epoch_batch);
-        ("epoch_lag", string_of_int S.Pool.default_config.S.Pool.epoch_lag);
       ];
   Printf.printf
     "\nmeasured recommendation: %d domain(s) (best cached req/s); hardware \
@@ -2099,35 +2098,35 @@ let hotshard ?(smoke = false) () =
       initial = S.Cutover.Shadow;
     }
   in
-  let run_one ~domains ~steal ~split_threshold reqs =
+  let run_one ~domains ~steal reqs =
     let config =
       { S.Pool.default_config with
         domains; shards = nshards; canary_seed = seed; use_plan_cache = true;
-        steal; split_threshold; epoch_batch = 6;
+        steal; epoch_batch = 6;
       }
     in
     match S.Pool.run ~config ~cutover:pinned_cutover req sample reqs with
     | Ok r -> r
     | Error e -> failwith ("hotshard bench: " ^ e)
   in
-  let scheds =
-    [ ("pinned", false, 0); ("steal", true, 0); ("steal+split", true, 3) ]
-  in
+  let scheds = [ ("pinned", false); ("steal", true) ] in
   (* the served traffic is deterministic per config, so trials differ
      only in timing; alternating the order keeps whichever scheduler
      runs first in a trial (colder caches, host drift) from always
      being the same one *)
   let runs ~domains reqs =
-    let acc = List.map (fun (sched, _, _) -> (sched, ref [])) scheds in
+    let acc = List.map (fun (sched, _) -> (sched, ref [])) scheds in
     for t = 0 to trials - 1 do
       List.iter
-        (fun (sched, steal, split_threshold) ->
-          let r = run_one ~domains ~steal ~split_threshold reqs in
+        (fun (sched, steal) ->
+          let r = run_one ~domains ~steal reqs in
           let l = List.assoc sched acc in
           l := r :: !l)
         (if t mod 2 = 0 then scheds else List.rev scheds)
     done;
-    fun sched -> !(List.assoc sched acc)
+    (* in trial order, so index [t] of every scheduler's list is the
+       same trial *)
+    fun sched -> List.rev !(List.assoc sched acc)
   in
   let thr (r : S.Pool.report) = float r.S.Pool.served /. r.S.Pool.wall_s in
   let median f rs =
@@ -2163,7 +2162,8 @@ let hotshard ?(smoke = false) () =
       r.S.Pool.transitions )
   in
   let rows = ref [] in
-  (* (traffic, domains, sched) -> (req/s, p95 us) for the smoke gate *)
+  (* (traffic, domains, sched) -> (req/s, median p95 us, per-trial p95
+     us) for the smoke gate *)
   let cells = ref [] in
   List.iter
     (fun (traffic, reqs) ->
@@ -2182,7 +2182,7 @@ let hotshard ?(smoke = false) () =
           let arrival = Array.init (List.length reqs) (fun k -> float k /. rate) in
           let reference = fingerprint (List.hd pinned_runs) in
           List.iter
-            (fun (sched, _, _) ->
+            (fun (sched, _) ->
               let rs = runs_of sched in
               if List.exists (fun r -> fingerprint r <> reference) rs then begin
                 Printf.eprintf
@@ -2191,26 +2191,24 @@ let hotshard ?(smoke = false) () =
                   traffic sched domains;
                 exit 1
               end;
-              let p q =
-                median (fun r -> percentile_us q (open_lats arrival idx_of_id r)) rs
-              in
+              let trial_p q r = percentile_us q (open_lats arrival idx_of_id r) in
+              let p q = median (trial_p q) rs in
               let p50 = p 0.50 and p95 = p 0.95 and p99 = p 0.99 in
               let rps = median thr rs in
-              let stolen, frags =
+              let stolen =
                 List.fold_left
-                  (fun (s, f) (r : S.Pool.report) ->
+                  (fun s (r : S.Pool.report) ->
                     match r.S.Pool.steal_stats with
-                    | None -> (s, f)
+                    | None -> s
                     | Some slots ->
-                        ( max s
-                            (List.fold_left (fun a x -> a + x.S.Pool.stolen) 0 slots),
-                          max f
-                            (List.fold_left
-                               (fun a x -> a + x.S.Pool.split_frags)
-                               0 slots) ))
-                  (0, 0) rs
+                        max s
+                          (List.fold_left (fun a x -> a + x.S.Pool.stolen) 0 slots))
+                  0 rs
               in
-              cells := ((traffic, domains, sched), (rps, p95)) :: !cells;
+              cells :=
+                ( (traffic, domains, sched),
+                  (rps, p95, List.map (trial_p 0.95) rs) )
+                :: !cells;
               emit_json
                 [ ("experiment", json_str "hotshard");
                   ("traffic", json_str traffic);
@@ -2223,13 +2221,12 @@ let hotshard ?(smoke = false) () =
                   ("open_p95_us", json_float p95);
                   ("open_p99_us", json_float p99);
                   ("stolen", string_of_int stolen);
-                  ("split_frags", string_of_int frags);
                 ];
               rows :=
                 [ traffic; sched; string_of_int domains;
                   Tablefmt.float_cell rps; Tablefmt.float_cell p50;
                   Tablefmt.float_cell p95; Tablefmt.float_cell p99;
-                  string_of_int stolen; string_of_int frags;
+                  string_of_int stolen;
                 ]
                 :: !rows)
             scheds)
@@ -2245,10 +2242,9 @@ let hotshard ?(smoke = false) () =
     ~aligns:
       [ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right;
         Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-        Tablefmt.Right;
       ]
     [ "traffic"; "sched"; "domains"; "req/s"; "p50 us"; "p95 us"; "p99 us";
-      "stolen"; "frags" ]
+      "stolen" ]
     (List.rev !rows);
   meta_extra :=
     !meta_extra
@@ -2268,14 +2264,23 @@ let hotshard ?(smoke = false) () =
     let cell traffic sched =
       List.assoc (traffic, 2, sched) !cells
     in
-    let s_thr, s_p95 = cell "skewed" "steal" in
-    let p_thr, p_p95 = cell "skewed" "pinned" in
-    let u_s_thr, _ = cell "uniform" "steal" in
-    let u_p_thr, _ = cell "uniform" "pinned" in
+    let s_thr, s_p95, s_trials = cell "skewed" "steal" in
+    let p_thr, p_p95, p_trials = cell "skewed" "pinned" in
+    let u_s_thr, _, _ = cell "uniform" "steal" in
+    let u_p_thr, _, _ = cell "uniform" "pinned" in
     Printf.printf
       "smoke skewed  pinned %8.0f req/s p95 %8.0f us | steal %8.0f req/s \
        p95 %8.0f us (%.2fx; medians of %d trials)\n"
       p_thr p_p95 s_thr s_p95 (s_p95 /. p_p95) trials;
+    (* Diagnostic only, not gated: the skewed p95 ratio of each trial's
+       steal run over the pinned run of the same trial, and their
+       median — whether pairing within a trial is tighter than the
+       ratio of medians the gate compares. *)
+    let paired = List.map2 ( /. ) s_trials p_trials in
+    Printf.printf
+      "smoke skewed  per-trial p95 steal/pinned: %s (median %.2fx; not gated)\n"
+      (String.concat " " (List.map (Printf.sprintf "%.2f") paired))
+      (median Fun.id paired);
     Printf.printf
       "smoke uniform pinned %8.0f req/s | steal %8.0f req/s (%.2fx)\n"
       u_p_thr u_s_thr (u_s_thr /. u_p_thr);

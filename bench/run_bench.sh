@@ -8,7 +8,8 @@
 # BENCH_PR7.json (live migration vs stop-the-world preparation),
 # BENCH_PR9.json (cost-based plan selection + backfill drain) and
 # BENCH_PR10.json (work-stealing vs pinned claims under a hot shard,
-# open-loop latency, median of trials) at the repository root.
+# one whole epoch row per claim, open-loop latency, median of trials)
+# at the repository root.
 set -eu
 cd "$(dirname "$0")/.."
 

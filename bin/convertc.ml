@@ -339,8 +339,9 @@ let analyze_run schema program ops_raw cap corpus seed json explain =
 (* serve: drive a workload through the phased-coexistence service      *)
 
 let serve_run ops_raw requests domains shards seed canary window min_obs
-    threshold promote strict no_plan_cache fail_request epoch_batch epoch_lag steal split_threshold live_migration backfill_batch
-    backfill_lag skew cost_based stats_every drift_threshold explain =
+    threshold promote strict no_plan_cache fail_request epoch_batch steal
+    live_migration backfill_batch backfill_lag skew cost_based stats_every
+    drift_threshold explain =
   let module S = Ccv_serve in
   let module W = Ccv_workload in
   let ops =
@@ -402,9 +403,7 @@ let serve_run ops_raw requests domains shards seed canary window min_obs
       use_plan_cache = not no_plan_cache;
       fail_request;
       epoch_batch;
-      epoch_lag;
       steal;
-      split_threshold;
       live_migration;
       backfill_batch;
       backfill_lag;
@@ -583,13 +582,6 @@ let serve_cmd =
       & info [ "epoch-batch" ] ~docv:"B"
           ~doc:"requests per shard per epoch row")
   in
-  let epoch_lag =
-    Arg.(
-      value & opt int 2
-      & info [ "epoch-lag" ] ~docv:"L"
-          ~doc:"rows the phase plan is published ahead of the controller \
-                (pipeline depth)")
-  in
   let steal =
     Arg.(
       value & opt bool true
@@ -597,15 +589,8 @@ let serve_cmd =
           ~doc:"claim policy: an idle worker with an empty deque steals \
                 another worker's shard token and runs its next ready row \
                 (default); $(b,false) pins shard s to worker s mod \
-                domains.  Served output is bit-identical either way")
-  in
-  let split_threshold =
-    Arg.(
-      value & opt int 0
-      & info [ "split-threshold" ] ~docv:"N"
-          ~doc:"with $(b,--steal), split epoch rows longer than N requests \
-                into sub-rows that successive workers execute back-to-back \
-                (0 = never split)")
+                slots, where slots = min(domains, shards, cores).  Served \
+                output is bit-identical either way")
   in
   let live_migration =
     Arg.(
@@ -676,8 +661,7 @@ let serve_cmd =
     Term.(
       const serve_run $ ops_arg $ requests $ domains $ shards $ seed
       $ canary $ window $ min_obs $ threshold $ promote $ strict
-      $ no_plan_cache $ fail_request $ epoch_batch
-      $ epoch_lag $ steal $ split_threshold $ live_migration
+      $ no_plan_cache $ fail_request $ epoch_batch $ steal $ live_migration
       $ backfill_batch $ backfill_lag $ skew $ cost_based $ stats_every
       $ drift_threshold $ explain)
 

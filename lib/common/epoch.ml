@@ -19,18 +19,13 @@ type 'a t = {
   cells : 'a option array array;  (* cells.(shard).(row) *)
   total : int;
   mutable next : int;  (* first unreleased row *)
-  merge : ('a -> 'a -> 'a) option;  (* sub-row fold, left = lower subseq *)
-  subs : (int * int, 'a option array) Hashtbl.t;
-      (* (shard, row) -> partial sub-row publications *)
 }
 
-let create ?merge ~rows () =
+let create ~rows =
   { rows = Array.copy rows;
     cells = Array.map (fun n -> Array.make (max n 0) None) rows;
     total = Array.fold_left max 0 rows;
     next = 0;
-    merge;
-    subs = Hashtbl.create 16;
   }
 
 let total_rows t = t.total
@@ -44,61 +39,6 @@ let publish t ~shard ~epoch v =
   if t.cells.(shard).(epoch) <> None then
     invalid_arg "Epoch.publish: cell already published";
   t.cells.(shard).(epoch) <- Some v
-
-(* Sub-row publication: a split row arrives as [nsub] fragments keyed
-   by [subseq]; once all are present they fold left-to-right (ascending
-   subseq) through the buffer's [merge] and land as the row's single
-   cell — {!pop_row} never sees fragments, so consumers are oblivious
-   to splitting.  [nsub = 1] degenerates to {!publish}. *)
-let publish_sub t ~shard ~epoch ~subseq ~nsub v =
-  if nsub <= 0 then invalid_arg "Epoch.publish_sub: nsub must be positive";
-  if subseq < 0 || subseq >= nsub then
-    invalid_arg "Epoch.publish_sub: subseq out of range";
-  if nsub = 1 then publish t ~shard ~epoch v
-  else begin
-    let merge =
-      match t.merge with
-      | Some m -> m
-      | None -> invalid_arg "Epoch.publish_sub: buffer created without ~merge"
-    in
-    (* range/double-publish guards apply to the whole row up front *)
-    if shard < 0 || shard >= Array.length t.rows then
-      invalid_arg "Epoch.publish_sub: shard out of range";
-    if epoch < 0 || epoch >= t.rows.(shard) then
-      invalid_arg "Epoch.publish_sub: epoch beyond the shard's declared rows";
-    if t.cells.(shard).(epoch) <> None then
-      invalid_arg "Epoch.publish_sub: cell already published";
-    let key = (shard, epoch) in
-    let parts =
-      match Hashtbl.find_opt t.subs key with
-      | Some parts ->
-          if Array.length parts <> nsub then
-            invalid_arg "Epoch.publish_sub: inconsistent nsub for the row";
-          parts
-      | None ->
-          let parts = Array.make nsub None in
-          Hashtbl.replace t.subs key parts;
-          parts
-    in
-    if parts.(subseq) <> None then
-      invalid_arg "Epoch.publish_sub: sub-row already published";
-    parts.(subseq) <- Some v;
-    if Array.for_all (fun p -> p <> None) parts then begin
-      Hashtbl.remove t.subs key;
-      let merged =
-        Array.fold_left
-          (fun acc p ->
-            match acc, p with
-            | None, p -> p
-            | Some a, Some b -> Some (merge a b)
-            | Some _, None -> assert false)
-          None parts
-      in
-      match merged with
-      | Some m -> publish t ~shard ~epoch m
-      | None -> assert false
-    end
-  end
 
 let pop_row t =
   if t.next >= t.total then None

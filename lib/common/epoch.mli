@@ -27,12 +27,10 @@ val pp_key : Format.formatter -> key -> unit
 (** Reorder buffer over per-shard epoch publications. *)
 type 'a t
 
-(** [create ?merge ~rows] — [rows.(s)] is the number of epoch rows
-    shard [s] will publish.  A shard with fewer rows than the longest
-    simply stops contributing to later rows.  [merge] combines split
-    sub-row payloads for {!publish_sub}; buffers that never see split
-    rows may omit it. *)
-val create : ?merge:('a -> 'a -> 'a) -> rows:int array -> unit -> 'a t
+(** [create ~rows] — [rows.(s)] is the number of epoch rows shard [s]
+    will publish.  A shard with fewer rows than the longest simply
+    stops contributing to later rows. *)
+val create : rows:int array -> 'a t
 
 (** Number of rows in the longest shard stream — the row index domain
     of {!pop_row}. *)
@@ -43,19 +41,6 @@ val total_rows : 'a t -> int
     cell twice or beyond the declared row count is a programming error
     ([Invalid_argument]). *)
 val publish : 'a t -> shard:int -> epoch:int -> 'a -> unit
-
-(** [publish_sub t ~shard ~epoch ~subseq ~nsub v] — fragment [subseq]
-    (0-based) of a row that was split into [nsub] sub-rows.  Once all
-    [nsub] fragments are in, they fold left-to-right in ascending
-    [subseq] order through the buffer's [merge] and the result is
-    published as the row's single cell — {!pop_row} never observes
-    fragments, so splitting is invisible downstream and the canonical
-    release order is unchanged.  [nsub = 1] is exactly {!publish}.
-    [Invalid_argument] on out-of-range keys, double publication,
-    inconsistent [nsub] across fragments of one row, or [nsub > 1] on a
-    buffer created without [~merge]. *)
-val publish_sub :
-  'a t -> shard:int -> epoch:int -> subseq:int -> nsub:int -> 'a -> unit
 
 (** Next complete epoch row in canonical order, as
     [(epoch, (shard, payload) list)] with payloads in ascending shard

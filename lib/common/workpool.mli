@@ -1,12 +1,14 @@
-(** A persistent pool of worker domains driven through a barrier-step
-    protocol.
+(** A persistent pool of worker domains, driven two ways: barrier
+    {!step}s for bulk work that splits evenly across slots (replica
+    preparation, the data-translation pmap), and {!submit} for
+    long-running jobs that pace themselves (the serving scheduler's
+    claim loops).
 
     [Domain.spawn] costs tens to hundreds of microseconds — paid per
-    batch, it dominates any serving tick short enough to keep shadow
-    verdicts flowing (the throughput collapse BENCH_PR4.json recorded
-    as domains were added).  A pool spawns its workers once; between
-    steps they park on a condition variable, and one step costs a
-    broadcast plus a barrier wait.
+    batch of work, it dominates anything short (the throughput collapse
+    BENCH_PR4.json recorded as domains were added).  A pool spawns its
+    workers once; between steps they park on a condition variable, and
+    one step costs a broadcast plus a barrier wait.
 
     One domain — the one that called {!create} — is the {e
     coordinator}.  Only it can drive the barrier; a {!step} or
@@ -76,9 +78,10 @@ val quiescent : t -> bool
 (** Join all submitted jobs; raises {!Worker_error} if any failed. *)
 val drain : t -> unit
 
-(** Total seconds workers have spent parked between steps (excludes
-    the coordinator).  A serving loop whose workers idle most of the
-    wall clock is starved for work per tick, not for domains. *)
+(** Total seconds workers have spent parked on the condition variable
+    between steps and submitted jobs (excludes the coordinator).  A
+    submitted job that loops hunting for work never parks, so for the
+    serving scheduler read {!charged_idle_times} instead. *)
 val idle_time : t -> float
 
 (** Per-slot park seconds (slot 0, the coordinator, is always 0) —

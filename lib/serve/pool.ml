@@ -9,9 +9,7 @@ type config = {
   use_plan_cache : bool;
   fail_request : int option;
   epoch_batch : int;
-  epoch_lag : int;
   steal : bool;
-  split_threshold : int;
   live_migration : bool;
   backfill_batch : int;
   backfill_lag : int;
@@ -30,9 +28,7 @@ let default_config =
     use_plan_cache = true;
     fail_request = None;
     epoch_batch = 16;
-    epoch_lag = 2;
     steal = true;
-    split_threshold = 0;
     live_migration = false;
     backfill_batch = 64;
     backfill_lag = 1;
@@ -53,10 +49,9 @@ type divergence = {
   detail : string;
 }
 
-(* Per-slot scheduler activity under work stealing: how many sub-rows
-   the slot executed, how many of its claims were steals, and how many
-   of the executed sub-rows were fragments of a split row. *)
-type slot_steal = { sub_rows_run : int; stolen : int; split_frags : int }
+(* Per-slot scheduler activity: how many rows the slot executed and
+   how many of its claims were steals. *)
+type slot_steal = { rows_run : int; stolen : int }
 
 type report = {
   outcomes : Shadow.outcome list;
@@ -236,12 +231,15 @@ let divergence_of ~epoch (o : Shadow.outcome) detail =
    therefore run up to [lag] epochs ahead of the controller — a
    pipeline, not a race: the plan is part of the deterministic order,
    so the same stream yields the same phases at any domain count.
+   [lag] is a constant, not a knob: the phase decisions depend on it,
+   so fixing it keeps them a function of the stream, the seed, the
+   shard count and [epoch_batch] alone.
 
    Who runs which row is decided by tokens: a token is a shard cursor
    in one of the per-slot deques of a {!Ccv_common.Stealqueue}, and
    shard [s] starts on slot [s mod slots].  Every slot, the coordinator
    included, loops claiming a token, running its shard's next ready
-   sub-row and requeuing it.  The claim policy is the one difference
+   row and requeuing it.  The claim policy is the one difference
    between the two schedules: stealing claims the slot's own deque
    first and then another slot's, so a hot shard's rows migrate to
    whoever has cycles; pinned claims the slot's own deque only, so a
@@ -249,7 +247,7 @@ let divergence_of ~epoch (o : Shadow.outcome) detail =
 
    [halt_at] stops the pipeline early (abort or fault): rows at or
    beyond it are never run.  A token retires — decrementing [pending]
-   — in the claim that runs its last sub-row or finds its next row
+   — in the claim that runs its last row or finds its next row
    past the fence.  Workers claim until [pending] reaches zero, and the
    coordinator zeroes it once it has consumed everything it will
    consume: that releases workers waiting on tokens nobody will run
@@ -264,31 +262,18 @@ type epoch_payload =
   | Done of Shadow.outcome list * string option
   | Failed of fault
 
-(* Merging split sub-rows (ascending subseq, left = lower): outcome
-   lists concatenate — the sub-chunks partition the row's slice in
-   order, so concatenation restores exactly the payload an unsplit
-   execution would have published; a fault anywhere in the row
-   supersedes the partial outcomes, exactly as an unsplit execution
-   discards the outcomes it ran before the faulting request; the first
-   fragment to observe the shard's migration failure carries the
-   message (the flag is sticky, so later fragments agree). *)
-let merge_payload a b =
-  match a, b with
-  | (Failed _ as f), _ -> f
-  | _, (Failed _ as f) -> f
-  | Done (o1, m1), Done (o2, m2) ->
-      Done (o1 @ o2, (match m1 with Some _ -> m1 | None -> m2))
-
 (* A shard cursor: holding the token is the exclusive right to run
-   shard [ts]'s next pending sub-row.  Exclusivity travels through the
-   steal queue, so the mutable fields need no lock — only the current
-   holder touches them, and the queue's CAS orders each handoff. *)
-type token = { ts : int; mutable trow : int; mutable tsub : int }
+   shard [ts]'s next pending row.  Exclusivity travels through the
+   steal queue, so the mutable field needs no lock — only the current
+   holder touches it, and the queue's CAS orders each handoff. *)
+type token = { ts : int; mutable trow : int }
+
+(* Rows the phase plan is published ahead of the controller. *)
+let lag = 2
 
 let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
   let nslots = Workpool.size pool in
   let ebatch = max 1 config.epoch_batch in
-  let lag = max 1 config.epoch_lag in
   let shard_rows =
     Array.map
       (fun slice -> Array.of_list (chunks ebatch slice))
@@ -297,27 +282,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
   let rows = Array.map Array.length shard_rows in
   if config.live_migration then
     drain_unrouted_shards ~shards ~rows_of:(fun s -> rows.(s));
-  (* Hot-shard row splitting (stealing only): a row longer than the
-     threshold is cut into sub-rows that successive holders of the
-     shard's token execute back-to-back — several workers end up
-     pipelining one hot shard's row while the reorder buffer merges the
-     fragments back into a single cell.  [sub_rows.(s).(e)] is the
-     row's partition as [(seq_base, chunk)] pairs; an unsplit row is
-     the single pair [(0, row)]. *)
-  let thr =
-    if config.steal && config.split_threshold > 0 then config.split_threshold
-    else 0
-  in
-  let sub_rows =
-    Array.map
-      (Array.map (fun row ->
-           if thr > 0 && List.length row > thr then
-             Array.of_list
-               (List.mapi (fun k c -> (k * thr, c)) (chunks thr row))
-           else [| (0, row) |]))
-      shard_rows
-  in
-  let buf = Epoch.create ~merge:merge_payload ~rows () in
+  let buf = Epoch.create ~rows in
   let total = Epoch.total_rows buf in
   let plan = Array.init total (fun _ -> Snapshot.cell None) in
   for e = 0 to min lag total - 1 do
@@ -327,21 +292,17 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
   let mailboxes = Array.init nshards (fun _ -> Snapshot.mailbox ()) in
   (* per-slot activity; each cell is written only by the domain running
      that slot and read after the drain *)
-  let sub_rows_run = Array.make nslots 0 in
+  let rows_run = Array.make nslots 0 in
   let stolen = Array.make nslots 0 in
-  let split_frags = Array.make nslots 0 in
-  (* Run sub-chunk [k] of row [(s, e)]; [seq] stays the request's rank
-     within the whole row ([seq_base + i]), so outcome keys are
-     identical whether or not the row was split. *)
-  let exec_sub ~phase ~migration_ok s e k =
-    let seq_base, chunk = sub_rows.(s).(e).(k) in
+  (* Run row [(s, e)]; [seq] is the request's rank within the row. *)
+  let exec_row ~phase ~migration_ok s e =
     let out = ref [] and fault = ref None in
     List.iteri
       (fun i r ->
         if !fault = None then
           match
             exec_request ~config ~shards ~phase ~migration_ok s ~epoch:e
-              ~seq:(seq_base + i) r
+              ~seq:i r
           with
           | o -> out := o :: !out
           | exception ex ->
@@ -351,7 +312,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
                     at_request = r.Request.id;
                     fault_detail = Printexc.to_string ex;
                   })
-      chunk;
+      shard_rows.(s).(e);
     match !fault with
     | Some f -> Failed f
     | None -> Done (List.rev !out, Shard.migration_failed shards.(s))
@@ -448,10 +409,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
         | [] -> ()
         | posts ->
             got := true;
-            List.iter
-              (fun (e, k, n, p) ->
-                Epoch.publish_sub buf ~shard:s ~epoch:e ~subseq:k ~nsub:n p)
-              posts)
+            List.iter (fun (e, p) -> Epoch.publish buf ~shard:s ~epoch:e p) posts)
       mailboxes;
     !got
   in
@@ -483,7 +441,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
     (fun s n ->
       if n > 0 then begin
         Atomic.incr pending;
-        Stealqueue.push q ~slot:(s mod nslots) { ts = s; trow = 0; tsub = 0 }
+        Stealqueue.push q ~slot:(s mod nslots) { ts = s; trow = 0 }
       end)
     rows;
   let claim ~slot =
@@ -493,31 +451,19 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
       | Some tok -> Stealqueue.Own tok
       | None -> Stealqueue.Empty
   in
-  (* Complete shard [tok.ts]'s remaining sub-rows with [Failed f],
+  (* Complete shard [tok.ts]'s remaining rows with [Failed f],
      starting at the cursor, and park the cursor at the end: rows
      behind a dead shard must not stall the canonical order. *)
   let fault_fill publish tok f =
-    let s = tok.ts in
-    let e0 = tok.trow in
-    if e0 < rows.(s) then begin
-      let n0 = Array.length sub_rows.(s).(e0) in
-      for k = tok.tsub to n0 - 1 do
-        publish s e0 k n0 (Failed f)
-      done;
-      for e' = e0 + 1 to rows.(s) - 1 do
-        let n' = Array.length sub_rows.(s).(e') in
-        for k = 0 to n' - 1 do
-          publish s e' k n' (Failed f)
-        done
-      done
-    end;
-    tok.trow <- rows.(s);
-    tok.tsub <- 0
+    for e = tok.trow to rows.(tok.ts) - 1 do
+      publish tok.ts e (Failed f)
+    done;
+    tok.trow <- rows.(tok.ts)
   in
-  (* Run the token's next sub-row once its phase is published.
-     [`Retire] when the token has nothing left to run: its last sub-row
-     just ran, a fault filled its remaining rows, or its next row lies
-     past the halt fence and will never be consumed. *)
+  (* Run the token's next row once its phase is published.  [`Retire]
+     when the token has nothing left to run: its last row just ran, a
+     fault filled its remaining rows, or its next row lies past the
+     halt fence and will never be consumed. *)
   let run_token ~slot ~publish tok =
     let s = tok.ts in
     let e = tok.trow in
@@ -526,27 +472,17 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
       match Snapshot.read plan.(e) with
       | None -> `Blocked
       | Some (phase, mok) ->
-          let nsub = Array.length sub_rows.(s).(e) in
-          (* backfill once per row, before its first sub-row — the
-             schedule is a function of logical time, and the later
-             sub-rows run strictly after this one through the token's
-             sequential chain *)
-          if tok.tsub = 0 && config.live_migration && mok then
+          if config.live_migration && mok then
             backfill_shard ~config ~shards s ~rows:rows.(s) ~row:e;
-          sub_rows_run.(slot) <- sub_rows_run.(slot) + 1;
-          if nsub > 1 then split_frags.(slot) <- split_frags.(slot) + 1;
-          (match exec_sub ~phase ~migration_ok:mok s e tok.tsub with
+          rows_run.(slot) <- rows_run.(slot) + 1;
+          (match exec_row ~phase ~migration_ok:mok s e with
           | Failed f -> fault_fill publish tok f
           | Done _ as p ->
-              publish s e tok.tsub nsub p;
-              if tok.tsub + 1 >= nsub then begin
-                tok.trow <- e + 1;
-                tok.tsub <- 0
-              end
-              else tok.tsub <- tok.tsub + 1);
+              publish s e p;
+              tok.trow <- e + 1);
           if tok.trow >= rows.(s) then `Retire else `Ran
   in
-  (* One claim-and-run: [`Ran] when a sub-row ran or a token retired,
+  (* One claim-and-run: [`Ran] when a row ran or a token retired,
      [`Blocked] when the claimed token waits on an unpublished phase
      cell, [`Empty] when there was nothing to claim.  Time spent
      claiming that comes up empty or steals is charged as steal-wait,
@@ -567,7 +503,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
           try run_token ~slot ~publish tok
           with ex ->
             (* a scheduler-side failure (request faults are caught in
-               [exec_sub]) must still complete the shard's rows or the
+               [exec_row]) must still complete the shard's rows or the
                canonical order stalls; best-effort fill, then retire —
                rows that stay unpublished anyway are caught by the
                coordinator's quiescence sweep *)
@@ -604,7 +540,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
      the phase cell, and under pinning nobody else will run it, so that
      slot keeps napping at the short interval. *)
   let worker w =
-    let publish s e k n p = Snapshot.post mailboxes.(s) (e, k, n, p) in
+    let publish s e p = Snapshot.post mailboxes.(s) (e, p) in
     let spins = ref 0 in
     let nap = ref 50e-6 in
     while Atomic.get pending > 0 do
@@ -628,13 +564,11 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
   (* The coordinator claims like any other slot, but publishes into the
      reorder buffer directly — no mailbox hop for slot 0.  One claim per
      pass: it must come back to the mailboxes (and the plan-cell
-     publication consuming drives) after every sub-row, or workers
+     publication consuming drives) after every row, or workers
      block on unpublished phase cells while it grinds through a
      burst. *)
   let coordinate () =
-    let publish s e k n p =
-      Epoch.publish_sub buf ~shard:s ~epoch:e ~subseq:k ~nsub:n p
-    in
+    let publish s e p = Epoch.publish buf ~shard:s ~epoch:e p in
     let spins = ref 0 in
     while not (finished ()) do
       let progress = run_claim ~slot:0 ~publish = `Ran in
@@ -672,10 +606,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
       let outcomes = List.rev !outcomes_rev in
       let slots =
         List.init nslots (fun i ->
-            { sub_rows_run = sub_rows_run.(i);
-              stolen = stolen.(i);
-              split_frags = split_frags.(i);
-            })
+            { rows_run = rows_run.(i); stolen = stolen.(i) })
       in
       Ok
         ( outcomes,
@@ -686,7 +617,11 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
 (* ------------------------------------------------------------------ *)
 
 let run ?(config = default_config) ~cutover req sdb requests =
-  if
+  if cutover.Cutover.window <= 0 then
+    Error
+      (Printf.sprintf "cutover window must be positive, got %d"
+         cutover.Cutover.window)
+  else if
     config.live_migration
     && not (Cutover.equal_phase cutover.Cutover.initial Cutover.Shadow)
   then
@@ -867,8 +802,8 @@ let render r =
            (String.concat ", "
               (List.mapi
                  (fun i s ->
-                   Printf.sprintf "slot %d ran %d sub-row(s) (%d stolen, %d split)"
-                     i s.sub_rows_run s.stolen s.split_frags)
+                   Printf.sprintf "slot %d ran %d row(s) (%d stolen)" i
+                     s.rows_run s.stolen)
                  slots))
            (List.fold_left ( +. ) 0. r.steal_wait_s)
            (String.concat ", "

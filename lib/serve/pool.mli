@@ -8,14 +8,15 @@
     directly from the coordinator.  The coordinator reassembles the
     rows in an {!Ccv_common.Epoch} reorder buffer and consumes them in
     canonical [(epoch, shard, seq)] order; the phase a row executes
-    under is pre-committed through published atomic cells, [epoch_lag]
-    rows ahead of the controller.  Nobody waits at a barrier — a fast
-    shard runs ahead of a slow one.
+    under is pre-committed through published atomic cells, a constant
+    two rows ahead of the controller.  Nobody waits at a barrier — a
+    fast shard runs ahead of a slow one.
 
     {b Two claim policies.}  Shard cursors circulate as tokens in
     per-slot deques ({!Ccv_common.Stealqueue}); shard [s] starts on
-    slot [s mod domains], and every slot — the coordinator included —
-    loops claiming a token and running its shard's next ready row.
+    slot [s mod slots], where [slots = min domains shards cores], and
+    every slot — the coordinator included — loops claiming a token and
+    running its shard's next ready row; one claim runs one whole row.
     With [steal] (the default) a slot claims its own deque first and
     then steals from the others, so a hot shard's backlog migrates to
     whoever has cycles.  Pinned ([steal = false]) claims only the
@@ -28,9 +29,9 @@
     and [report.domains] is that number.
 
     Phase decisions depend only on the request stream, the seed, the
-    shard count and [epoch_batch]/[epoch_lag] — never on the domain
-    count, the claim policy or physical scheduling — so the same stream
-    under 1 domain and under 8, stealing or pinned, yields the same
+    shard count and [epoch_batch] — never on the domain count, the
+    claim policy or physical scheduling — so the same stream under 1
+    domain and under 8, stealing or pinned, yields the same
     transitions, divergence log and served output, bit for bit.
 
     Workers charge no shared counter per request: each outcome carries
@@ -64,24 +65,15 @@ type config = {
           instead, exercising the crash-propagation path ([Error] from
           {!run}).  [None] (the default) in production *)
   epoch_batch : int;  (** requests per shard per epoch row *)
-  epoch_lag : int;
-      (** how many rows ahead of the controller the phase plan is
-          published — the pipeline depth; clamped to at least 1 *)
   steal : bool;
       (** the claim policy: [true] (the default) lets an idle slot —
           the coordinator included — steal another slot's shard token
           once its own deque is empty, so a hot shard's backlog
           migrates to whoever has cycles; [false] pins shard [s] to
-          slot [s mod domains].  Results flow through the reorder
-          buffer either way, so outcomes, transitions and divergence
-          logs are bit-identical under both policies at any domain
-          count. *)
-  split_threshold : int;
-      (** with [steal], rows longer than this many requests are split
-          into sub-rows executed by successive token holders and
-          re-merged inside the reorder buffer ({!Ccv_common.Epoch}
-          [publish_sub]) — several workers pipeline one hot shard's
-          row.  [0] (the default) disables splitting. *)
+          slot [s mod slots], [slots = min domains shards cores].
+          Results flow through the reorder buffer either way, so
+          outcomes, transitions and divergence logs are bit-identical
+          under both policies at any domain count. *)
   live_migration : bool;
       (** serve while migrating: shards start with an {e empty} target
           replica ({!Shard.create} [~live]) that fills by per-request
@@ -135,9 +127,8 @@ type divergence = {
 
 (** Per-slot scheduler activity. *)
 type slot_steal = {
-  sub_rows_run : int;  (** sub-rows this slot executed *)
+  rows_run : int;  (** epoch rows this slot executed *)
   stolen : int;  (** claims served by stealing another slot's token *)
-  split_frags : int;  (** executed sub-rows that were split fragments *)
 }
 
 type report = {
@@ -200,6 +191,8 @@ type report = {
 (** [run ~config ~cutover req sdb requests] — [req] describes the
     conversion (source schema/model, restructuring ops, target model);
     [sdb] is the semantic instance every shard replicates.  [Error _]
+    when the cutover config is invalid (a window that is not
+    positive), when live migration is asked to start past [Shadow],
     when a shard's replica pair cannot be prepared, or when a worker
     fault (see [fail_request]) interrupts serving. *)
 val run :

@@ -399,7 +399,7 @@ let epoch_tests =
         check "then seq" true (Epoch.compare_key (k 1 1 0) (k 1 1 1) < 0);
         check "equal" true (Epoch.compare_key (k 2 3 4) (k 2 3 4) = 0));
     Alcotest.test_case "rows release only when complete" `Quick (fun () ->
-        let b = Epoch.create ~rows:[| 2; 1; 2 |] () in
+        let b = Epoch.create ~rows:[| 2; 1; 2 |] in
         check "two rows total" true (Epoch.total_rows b = 2);
         Epoch.publish b ~shard:0 ~epoch:0 "a0";
         Epoch.publish b ~shard:2 ~epoch:0 "c0";
@@ -416,7 +416,7 @@ let epoch_tests =
           (Epoch.pop_row b = None && Epoch.frontier b = 2));
     Alcotest.test_case "publish rejects double and out-of-range" `Quick
       (fun () ->
-        let b = Epoch.create ~rows:[| 1 |] () in
+        let b = Epoch.create ~rows:[| 1 |] in
         Epoch.publish b ~shard:0 ~epoch:0 "x";
         (try
            Epoch.publish b ~shard:0 ~epoch:0 "y";
@@ -446,7 +446,7 @@ let epoch_props =
         in
         let rng = Prng.create ~seed in
         let shuffled = Prng.shuffle rng all in
-        let b = Epoch.create ~rows () in
+        let b = Epoch.create ~rows in
         let drained = ref [] in
         let drain () =
           let continue_ = ref true in
@@ -476,104 +476,6 @@ let epoch_props =
                    (List.init (Array.length rows) Fun.id)))
         in
         List.rev !drained = canonical);
-  ]
-
-(* ---------------- Epoch sub-row merging ---------------- *)
-
-let epoch_sub_tests =
-  [ Alcotest.test_case "fragments merge left-to-right by subseq" `Quick
-      (fun () ->
-        let b = Epoch.create ~merge:( ^ ) ~rows:[| 1 |] () in
-        (* out-of-order arrival; the fold must still be ascending *)
-        Epoch.publish_sub b ~shard:0 ~epoch:0 ~subseq:2 ~nsub:3 "c";
-        Epoch.publish_sub b ~shard:0 ~epoch:0 ~subseq:0 ~nsub:3 "a";
-        check "incomplete row stays held" true (Epoch.pop_row b = None);
-        Epoch.publish_sub b ~shard:0 ~epoch:0 ~subseq:1 ~nsub:3 "b";
-        check "merged in subseq order" true
-          (Epoch.pop_row b = Some (0, [ (0, "abc") ])));
-    Alcotest.test_case "nsub = 1 is plain publish" `Quick (fun () ->
-        (* no ~merge needed for unsplit rows *)
-        let b = Epoch.create ~rows:[| 1 |] () in
-        Epoch.publish_sub b ~shard:0 ~epoch:0 ~subseq:0 ~nsub:1 "x";
-        check "published" true (Epoch.pop_row b = Some (0, [ (0, "x") ])));
-    Alcotest.test_case "publish_sub guards" `Quick (fun () ->
-        let reject name f =
-          try
-            f ();
-            Alcotest.fail (name ^ " accepted")
-          with Invalid_argument _ -> ()
-        in
-        let b = Epoch.create ~rows:[| 1 |] () in
-        reject "nsub > 1 without merge" (fun () ->
-            Epoch.publish_sub b ~shard:0 ~epoch:0 ~subseq:0 ~nsub:2 "x");
-        let b = Epoch.create ~merge:( ^ ) ~rows:[| 1 |] () in
-        Epoch.publish_sub b ~shard:0 ~epoch:0 ~subseq:0 ~nsub:2 "x";
-        reject "double sub publish" (fun () ->
-            Epoch.publish_sub b ~shard:0 ~epoch:0 ~subseq:0 ~nsub:2 "y");
-        reject "inconsistent nsub" (fun () ->
-            Epoch.publish_sub b ~shard:0 ~epoch:0 ~subseq:1 ~nsub:3 "y");
-        reject "subseq out of range" (fun () ->
-            Epoch.publish_sub b ~shard:0 ~epoch:0 ~subseq:2 ~nsub:2 "y");
-        reject "nonpositive nsub" (fun () ->
-            Epoch.publish_sub b ~shard:0 ~epoch:0 ~subseq:0 ~nsub:0 "y"));
-  ]
-
-let epoch_sub_props =
-  [ QCheck.Test.make
-      ~name:"sub-row merge law: any fragment interleaving = unsplit publish"
-      ~count:200
-      QCheck.(
-        pair (int_range 1 1000)
-          (list_of_size Gen.(int_range 1 5)
-             (pair (int_range 0 3) (int_range 1 4))))
-      (fun (seed, shape) ->
-        (* shape.(s) = (rows, nsub): every row of shard s splits into
-           nsub fragments carrying singleton int lists; fragments of
-           all rows are published in a seed-shuffled order, and the
-           drain must equal the unsplit buffer's — same canonical row
-           order, each cell the concatenation of its fragments in
-           ascending subseq *)
-        let rows = Array.of_list (List.map fst shape) in
-        let nsubs = Array.of_list (List.map snd shape) in
-        let frags =
-          Array.to_list rows
-          |> List.mapi (fun s n ->
-                 List.concat
-                   (List.init n (fun e ->
-                        List.init nsubs.(s) (fun k -> (s, e, k)))))
-          |> List.concat
-        in
-        let rng = Prng.create ~seed in
-        let shuffled = Prng.shuffle rng frags in
-        let split = Epoch.create ~merge:( @ ) ~rows () in
-        let drained = ref [] in
-        let drain b acc =
-          let continue_ = ref true in
-          while !continue_ do
-            match Epoch.pop_row b with
-            | None -> continue_ := false
-            | Some (e, cells) -> acc := (e, cells) :: !acc
-          done
-        in
-        List.iter
-          (fun (s, e, k) ->
-            Epoch.publish_sub split ~shard:s ~epoch:e ~subseq:k
-              ~nsub:nsubs.(s)
-              [ (s, e, k) ];
-            drain split drained)
-          shuffled;
-        drain split drained;
-        let unsplit = Epoch.create ~rows () in
-        let expect = ref [] in
-        Array.iteri
-          (fun s n ->
-            for e = 0 to n - 1 do
-              Epoch.publish unsplit ~shard:s ~epoch:e
-                (List.init nsubs.(s) (fun k -> (s, e, k)))
-            done)
-          rows;
-        drain unsplit expect;
-        List.rev !drained = List.rev !expect);
   ]
 
 (* ---------------- Work-stealing deques ---------------- *)
@@ -758,8 +660,6 @@ let () =
       ("snapshot", snapshot_tests);
       ("epoch", epoch_tests);
       qsuite "epoch-props" epoch_props;
-      ("epoch-sub", epoch_sub_tests);
-      qsuite "epoch-sub-props" epoch_sub_props;
       ("stealqueue", stealqueue_tests);
       qsuite "stealqueue-props" stealqueue_props;
       ("counters-concurrency", counter_concurrency_tests);

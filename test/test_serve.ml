@@ -46,12 +46,10 @@ let requests ~seed ~n =
   Request.stream ~seed W.Company.schema ~sample:(W.Company.instance ()) ~n ()
 
 let run_service ?(domains = 1) ?(shards = 4) ?(use_plan_cache = true)
-    ?(epoch_batch = 8) ?(steal = true) ?(split_threshold = 0) ~cutover ops
-    reqs =
+    ?(epoch_batch = 8) ?(steal = true) ~cutover ops reqs =
   let config =
     { Pool.default_config with
       domains; shards; canary_seed = 7; use_plan_cache; epoch_batch; steal;
-      split_threshold;
     }
   in
   match Pool.run ~config ~cutover (net_req ops) (W.Company.instance ()) reqs with
@@ -277,19 +275,24 @@ let skew_to_shard0 ~shards reqs =
 
 let steal_report_shape () =
   let reqs = requests ~seed:808 ~n:48 in
+  let shards = 6 and epoch_batch = 4 in
   let stealing =
-    run_service ~domains:2 ~shards:6 ~epoch_batch:4 ~split_threshold:3
+    run_service ~domains:2 ~shards ~epoch_batch
       ~cutover:promoting_cutover [ interpose_op ] reqs
   in
   let pinned =
-    run_service ~domains:2 ~shards:6 ~epoch_batch:4 ~steal:false
+    run_service ~domains:2 ~shards ~epoch_batch ~steal:false
       ~cutover:promoting_cutover [ interpose_op ] reqs
+  in
+  let rows_run (r : Pool.report) =
+    match r.Pool.steal_stats with
+    | Some slots -> List.fold_left (fun acc s -> acc + s.Pool.rows_run) 0 slots
+    | None -> 0
   in
   check "steal mode reports per-slot stats" true
     (match stealing.Pool.steal_stats with
     | Some slots ->
-        List.length slots = stealing.Pool.domains
-        && List.fold_left (fun acc s -> acc + s.Pool.sub_rows_run) 0 slots > 0
+        List.length slots = stealing.Pool.domains && rows_run stealing > 0
     | None -> false);
   check "pinned mode never steals" true
     (match pinned.Pool.steal_stats with
@@ -299,11 +302,23 @@ let steal_report_shape () =
     | None -> false);
   check "steal-wait reported per slot" true
     (List.length stealing.Pool.steal_wait_s = stealing.Pool.domains);
-  check "splitting ran" true
-    (match stealing.Pool.steal_stats with
-    | Some slots ->
-        List.fold_left (fun acc s -> acc + s.Pool.split_frags) 0 slots > 0
-    | None -> false);
+  (* every epoch row runs exactly once: one claim per row, whichever
+     slot claims it *)
+  let slice_len = Array.make shards 0 in
+  List.iter
+    (fun r ->
+      let s = Request.shard_of r ~nshards:shards in
+      slice_len.(s) <- slice_len.(s) + 1)
+    reqs;
+  let expected_rows =
+    Array.fold_left
+      (fun acc n -> acc + ((n + epoch_batch - 1) / epoch_batch))
+      0 slice_len
+  in
+  check "stealing runs every row exactly once" true
+    (rows_run stealing = expected_rows);
+  check "pinned runs every row exactly once" true
+    (rows_run pinned = expected_rows);
   check "scheduling is invisible in the served output" true
     (terminal_output stealing = terminal_output pinned
     && stealing.Pool.transitions = pinned.Pool.transitions)
@@ -313,18 +328,18 @@ let steal_worker_fault_propagates () =
   let config =
     { Pool.default_config with
       domains = 2; shards = 4; canary_seed = 7; fail_request = Some 17;
-      split_threshold = 3; epoch_batch = 8;
+      epoch_batch = 8;
     }
   in
   match
     Pool.run ~config ~cutover:promoting_cutover (net_req [ interpose_op ])
       (W.Company.instance ()) reqs
   with
-  | Ok _ -> Alcotest.fail "steal+split: injected fault did not surface"
+  | Ok _ -> Alcotest.fail "steal: injected fault did not surface"
   | Error e ->
-      check "steal+split: error names the worker failure" true
+      check "steal: error names the worker failure" true
         (contains ~affix:"worker failure" e);
-      check "steal+split: error names the failing request" true
+      check "steal: error names the failing request" true
         (contains ~affix:"request 17" e)
 
 (* Serving-time index advice (the §5.3 feedback loop): a program
@@ -411,11 +426,11 @@ let full_fingerprint (r : Pool.report) =
     r.Pool.served,
     Cutover.phase_name r.Pool.final_phase )
 
-(* The tentpole invariant: stealing, stealing-with-splitting and the
-   pinned schedule are the same service.  Whatever stream the
-   generator deals — uniform or concentrated on one hot shard — every
-   (scheduler, domain-count) combination yields the same outcomes,
-   transitions and divergence log, field for field. *)
+(* The tentpole invariant: stealing and the pinned schedule are the
+   same service.  Whatever stream the generator deals — uniform or
+   concentrated on one hot shard — every (scheduler, domain-count)
+   combination yields the same outcomes, transitions and divergence
+   log, field for field. *)
 let steal_pinned_fingerprint_prop =
   QCheck.Test.make
     ~name:"stealing = pinned = single-domain, uniform and shard-skewed"
@@ -427,21 +442,19 @@ let steal_pinned_fingerprint_prop =
         let r = requests ~seed ~n:32 in
         if skewed then skew_to_shard0 ~shards r else r
       in
-      let go ~domains ~steal ?(split_threshold = 0) () =
+      let go ~domains ~steal =
         full_fingerprint
-          (run_service ~domains ~shards ~epoch_batch:4 ~steal ~split_threshold
+          (run_service ~domains ~shards ~epoch_batch:4 ~steal
              ~cutover:rollback_cutover [ restrict_op ] reqs)
       in
-      let reference = go ~domains:1 ~steal:false () in
+      let reference = go ~domains:1 ~steal:false in
       List.for_all
         (fun fp -> fp = reference)
-        [ go ~domains:1 ~steal:true ();
-          go ~domains:2 ~steal:true ();
-          go ~domains:8 ~steal:true ();
-          go ~domains:2 ~steal:true ~split_threshold:3 ();
-          go ~domains:8 ~steal:true ~split_threshold:1 ();
-          go ~domains:2 ~steal:false ();
-          go ~domains:8 ~steal:false ();
+        [ go ~domains:1 ~steal:true;
+          go ~domains:2 ~steal:true;
+          go ~domains:8 ~steal:true;
+          go ~domains:2 ~steal:false;
+          go ~domains:8 ~steal:false;
         ])
 
 (* qcheck over the workload seed: whatever stream the generator deals,
@@ -561,6 +574,21 @@ let worker_fault_propagates () =
             (contains ~affix:"request 17" e))
     [ 1; 2; 4 ]
 
+(* A cutover window the controller cannot hold is a configuration
+   error, reported like any other start-up failure rather than raised
+   out of the pool. *)
+let zero_window_is_error () =
+  let reqs = requests ~seed:101 ~n:8 in
+  let cutover = { promoting_cutover with Cutover.window = 0 } in
+  match
+    Pool.run ~cutover (net_req [ interpose_op ]) (W.Company.instance ()) reqs
+  with
+  | Ok _ -> Alcotest.fail "window 0 was accepted"
+  | Error e -> check "error names the window" true (contains ~affix:"window" e)
+  | exception ex ->
+      Alcotest.failf "window 0 raised %s instead of Error"
+        (Printexc.to_string ex)
+
 (* ------------------------------------------------------------------ *)
 (* (d) the per-shard plan cache: same served behaviour with and
    without it, and a steady-state stream (few distinct programs) is
@@ -615,7 +643,7 @@ let () =
             plan_cache_transparent;
           Alcotest.test_case "steal scheduler reports per-slot activity" `Quick
             steal_report_shape;
-          Alcotest.test_case "worker fault propagates under steal + split"
+          Alcotest.test_case "worker fault propagates under steal policy"
             `Quick steal_worker_fault_propagates;
           Alcotest.test_case "serving-time index advice under live stats"
             `Quick serving_index_advice;
@@ -623,6 +651,8 @@ let () =
             pinned_termination_sweep;
           Alcotest.test_case "more domains than cores share one slot count"
             `Quick more_domains_than_cores;
+          Alcotest.test_case "zero cutover window is an Error" `Quick
+            zero_window_is_error;
         ] );
       ( "epoch-props",
         [ QCheck_alcotest.to_alcotest epoch_determinism_prop;
