@@ -9,6 +9,7 @@ open Ccv_transform
 open Ccv_convert
 module W = Ccv_workload
 module B = Ccv_baselines
+module S = Ccv_serve
 
 let section title =
   Printf.printf "\n=== %s ===\n\n" title
@@ -61,6 +62,43 @@ let net_source prog =
   | Ok (p, _) -> p
   | Error e -> failwith ("source generation: " ^ e)
 
+(* The service request every serving bench converts under. *)
+let interpose_req =
+  { Supervisor.source_schema = W.Company.schema;
+    source_model = Mapping.Net;
+    ops = [ interpose_op ];
+    target_model = Mapping.Net;
+  }
+
+(* Pinned phases: promote_after/max_divergence_rate keep the controller
+   where it starts, so every request is measured under one regime. *)
+let pinned_in initial =
+  { S.Cutover.canary_fraction = 0.25;
+    window = 32;
+    min_observations = 8;
+    max_divergence_rate = 2.0;
+    promote_after = max_int;
+    initial;
+  }
+
+let pinned = pinned_in S.Cutover.Shadow
+
+(* Served traffic is deterministic per config, so repeated runs differ
+   only in timing: serve three times and keep the fastest, to damp
+   scheduler noise on millisecond-scale runs. *)
+let fastest_of_three ~what ~config sample reqs =
+  let once () =
+    match S.Pool.run ~config ~cutover:pinned interpose_req sample reqs with
+    | Ok r -> r
+    | Error e -> failwith (what ^ " bench: " ^ e)
+  in
+  let r0 = once () in
+  List.fold_left
+    (fun best _ ->
+      let r = once () in
+      if r.S.Pool.wall_s < best.S.Pool.wall_s then r else best)
+    r0 [ (); () ]
+
 let company_setup n =
   let sdb =
     if n = 0 then W.Company.instance () else W.Company.scaled ~seed:42 ~n
@@ -112,13 +150,6 @@ let e1 () =
     "E1  Cost of conversion strategies under the Fig 4.2->4.4 split \
      (paper claim: emulation and bridge suffer \"degraded efficiency\", \
      §2.1.2)";
-  let req =
-    { Supervisor.source_schema = W.Company.schema;
-      source_model = Mapping.Net;
-      ops = [ interpose_op ];
-      target_model = Mapping.Net;
-    }
-  in
   let rows = ref [] in
   List.iter
     (fun n ->
@@ -130,7 +161,10 @@ let e1 () =
             Engines.run (Engines.Net_db source_db) (Engines.Net_program source)
           in
           let report =
-            match Supervisor.convert_program req (Engines.Net_program source) with
+            match
+              Supervisor.convert_program interpose_req
+                (Engines.Net_program source)
+            with
             | Ok r -> r
             | Error (stage, e) -> failwith (stage ^ ": " ^ e)
           in
@@ -1052,7 +1086,6 @@ let serve () =
   section
     "SERVE  Phased-coexistence service: shadow throughput by domain \
      count, shadow overhead vs straight target execution";
-  let module S = Ccv_serve in
   let seed = 515 in
   let n = 240 in
   let domain_counts = [ 1; 2; 4 ] in
@@ -1060,30 +1093,13 @@ let serve () =
      pool's scheduling cost has to be amortized against it. *)
   let sample = W.Company.scaled ~seed:42 ~n:120 in
   let reqs = S.Request.stream ~seed W.Company.schema ~sample ~n () in
-  let req =
-    { Supervisor.source_schema = W.Company.schema;
-      source_model = Mapping.Net;
-      ops = [ interpose_op ];
-      target_model = Mapping.Net;
-    }
-  in
-  (* Pinned phases: promote_after/max_divergence_rate keep the
-     controller where it starts, so every request is measured under
-     one regime. *)
-  let pinned initial =
-    { S.Cutover.canary_fraction = 0.25;
-      window = 32;
-      min_observations = 8;
-      max_divergence_rate = 2.0;
-      promote_after = max_int;
-      initial;
-    }
-  in
   let run ~domains ~initial =
     let config =
       { S.Pool.default_config with domains; shards = 8; canary_seed = seed }
     in
-    match S.Pool.run ~config ~cutover:(pinned initial) req sample reqs with
+    match
+      S.Pool.run ~config ~cutover:(pinned_in initial) interpose_req sample reqs
+    with
     | Ok r -> r
     | Error e -> failwith ("serve bench: " ^ e)
   in
@@ -1236,7 +1252,6 @@ let plan () =
     [ "variant"; "runs"; "interp ms"; "compile ms"; "compiled ms"; "speedup" ]
     (List.rev !rows);
   (* -- serving: per-shard plan cache on vs off ----------------------- *)
-  let module S = Ccv_serve in
   let seed = 616 in
   let n = 480 in
   let distinct = 12 in
@@ -1248,29 +1263,13 @@ let plan () =
   let reqs =
     S.Request.stream ~seed W.Company.schema ~sample ~n ~distinct ()
   in
-  let req =
-    { Supervisor.source_schema = W.Company.schema;
-      source_model = Mapping.Net;
-      ops = [ interpose_op ];
-      target_model = Mapping.Net;
-    }
-  in
-  let pinned =
-    { S.Cutover.canary_fraction = 0.25;
-      window = 32;
-      min_observations = 8;
-      max_divergence_rate = 2.0;
-      promote_after = max_int;
-      initial = S.Cutover.Shadow;
-    }
-  in
   let run_serve ~domains ~use_plan_cache =
     let config =
       { S.Pool.default_config with
         domains; shards = nshards; canary_seed = seed; use_plan_cache;
       }
     in
-    match S.Pool.run ~config ~cutover:pinned req sample reqs with
+    match S.Pool.run ~config ~cutover:pinned interpose_req sample reqs with
     | Ok r -> r
     | Error e -> failwith ("plan bench: " ^ e)
   in
@@ -1356,7 +1355,6 @@ let scaling ?(smoke = false) () =
      else
        "SCALING  persistent worker pool: req/s by domain count, parallel \
         replica prep, pool idle time");
-  let module S = Ccv_serve in
   let seed = 717 in
   let n = if smoke then 96 else 480 in
   let distinct = 12 in
@@ -1368,42 +1366,13 @@ let scaling ?(smoke = false) () =
   let reqs =
     S.Request.stream ~seed W.Company.schema ~sample ~n ~distinct ()
   in
-  let req =
-    { Supervisor.source_schema = W.Company.schema;
-      source_model = Mapping.Net;
-      ops = [ interpose_op ];
-      target_model = Mapping.Net;
-    }
-  in
-  let pinned =
-    { S.Cutover.canary_fraction = 0.25;
-      window = 32;
-      min_observations = 8;
-      max_divergence_rate = 2.0;
-      promote_after = max_int;
-      initial = S.Cutover.Shadow;
-    }
-  in
   let run_serve ~domains ~use_plan_cache =
     let config =
       { S.Pool.default_config with
         domains; shards = nshards; canary_seed = seed; use_plan_cache;
       }
     in
-    let once () =
-      match S.Pool.run ~config ~cutover:pinned req sample reqs with
-      | Ok r -> r
-      | Error e -> failwith ("scaling bench: " ^ e)
-    in
-    (* served traffic is deterministic per config, so the trials differ
-       only in timing: keep the fastest to damp scheduler noise on
-       millisecond-scale runs *)
-    let r0 = once () in
-    List.fold_left
-      (fun best _ ->
-        let r = once () in
-        if r.S.Pool.wall_s < best.S.Pool.wall_s then r else best)
-      r0 [ (); () ]
+    fastest_of_three ~what:"scaling" ~config sample reqs
   in
   let rows = ref [] in
   (* throughput per variant, for the recommendation and the smoke gate *)
@@ -1469,7 +1438,7 @@ let scaling ?(smoke = false) () =
   let prep_ms k =
     let once pool =
       let r, ms =
-        time_ms (fun () -> Supervisor.prepare_serving ?pool req big)
+        time_ms (fun () -> Supervisor.prepare_serving ?pool interpose_req big)
       in
       (match r with
       | Ok _ -> ()
@@ -1566,7 +1535,6 @@ let migration ?(smoke = false) () =
      else
        "MIGRATION  live (lazy + backfill + dual-apply) vs stop-the-world: \
         time to first response, req/s and p95 during migration");
-  let module S = Ccv_serve in
   let module M = Ccv_migrate.Migrate in
   let seed = 929 in
   let nshards = 4 in
@@ -1576,24 +1544,6 @@ let migration ?(smoke = false) () =
   let volumes = if smoke then [ 1000 ] else [ 250; 1000; 3000 ] in
   let sweep_volume = 1000 in
   let domain_counts = if smoke then [ 2 ] else [ 1; 2; 8 ] in
-  let req =
-    { Supervisor.source_schema = W.Company.schema;
-      source_model = Mapping.Net;
-      ops = [ interpose_op ];
-      target_model = Mapping.Net;
-    }
-  in
-  (* pinned in Shadow: every request is measured mid-migration, under
-     the dual-run regime, never after a promotion *)
-  let pinned =
-    { S.Cutover.canary_fraction = 0.25;
-      window = 32;
-      min_observations = 8;
-      max_divergence_rate = 2.0;
-      promote_after = max_int;
-      initial = S.Cutover.Shadow;
-    }
-  in
   let run_one ~sample ~reqs ~domains ~live =
     let config =
       { S.Pool.default_config with
@@ -1601,7 +1551,9 @@ let migration ?(smoke = false) () =
         backfill_batch = 48; backfill_lag = 1;
       }
     in
-    match S.Pool.run ~config ~cutover:pinned req sample reqs with
+    (* pinned in Shadow: every request is measured mid-migration, under
+       the dual-run regime, never after a promotion *)
+    match S.Pool.run ~config ~cutover:pinned interpose_req sample reqs with
     | Error e -> failwith ("migration bench: " ^ e)
     | Ok r ->
         let lats =
@@ -1728,19 +1680,12 @@ let drain () =
     "DRAIN  backfill drain throughput vs instance volume (merge_batch \
      slice assembly must stay near-linear)";
   let module M = Ccv_migrate.Migrate in
-  let req =
-    { Supervisor.source_schema = W.Company.schema;
-      source_model = Mapping.Net;
-      ops = [ interpose_op ];
-      target_model = Mapping.Net;
-    }
-  in
   let rows = ref [] in
   List.iter
     (fun vol ->
       let sample = W.Company.scaled ~seed:42 ~n:vol in
       let config = { M.default_config with batch = 48 } in
-      match M.start ~config ~shard_id:0 req sample with
+      match M.start ~config ~shard_id:0 interpose_req sample with
       | Error (stage, reason) -> failwith (stage ^ ": " ^ reason)
       | Ok (m, _servable) ->
           let total = M.total m in
@@ -1799,7 +1744,6 @@ let cost_bench ?(gate = false) () =
        "COST  cost-based plan selection vs fixed heuristic: micro probe \
         choice, skewed serving, drift invalidation");
   let module P = Ccv_plan in
-  let module S = Ccv_serve in
   (* -- micro: two-eq-conjunct lookup, popular conjunct first --------- *)
   let vol = 2000 in
   let mk_db () = W.Company.scaled ~seed:17 ~n:vol in
@@ -1897,22 +1841,6 @@ let cost_bench ?(gate = false) () =
   let reqs =
     S.Request.stream ~seed W.Company.schema ~sample ~n:nreq ~distinct ~skew ()
   in
-  let req =
-    { Supervisor.source_schema = W.Company.schema;
-      source_model = Mapping.Net;
-      ops = [ interpose_op ];
-      target_model = Mapping.Net;
-    }
-  in
-  let pinned =
-    { S.Cutover.canary_fraction = 0.25;
-      window = 32;
-      min_observations = 8;
-      max_divergence_rate = 2.0;
-      promote_after = max_int;
-      initial = S.Cutover.Shadow;
-    }
-  in
   let run_serve ~cost_based ?(stats_every = 0) ?(drift_threshold = 0.5) () =
     let config =
       { S.Pool.default_config with
@@ -1920,19 +1848,7 @@ let cost_bench ?(gate = false) () =
         cost_based_plans = cost_based; stats_every; drift_threshold;
       }
     in
-    let once () =
-      match S.Pool.run ~config ~cutover:pinned req sample reqs with
-      | Ok r -> r
-      | Error e -> failwith ("cost bench: " ^ e)
-    in
-    (* served traffic is deterministic per config; keep the fastest of
-       three to damp scheduler noise *)
-    let r0 = once () in
-    List.fold_left
-      (fun best _ ->
-        let r = once () in
-        if r.S.Pool.wall_s < best.S.Pool.wall_s then r else best)
-      r0 [ (); () ]
+    fastest_of_three ~what:"cost" ~config sample reqs
   in
   let heur = run_serve ~cost_based:false () in
   let cost = run_serve ~cost_based:true () in
@@ -2056,7 +1972,6 @@ let hotshard ?(smoke = false) () =
      else
        "HOTSHARD  skew-aware work stealing vs static pinning: open-loop \
         p50/p95/p99, hot shard at ~50%");
-  let module S = Ccv_serve in
   let seed = 909 in
   let n = 1000 in
   let nshards = 8 in
@@ -2082,22 +1997,6 @@ let hotshard ?(smoke = false) () =
         { r with S.Request.id = id })
       uniform
   in
-  let req =
-    { Supervisor.source_schema = W.Company.schema;
-      source_model = Mapping.Net;
-      ops = [ interpose_op ];
-      target_model = Mapping.Net;
-    }
-  in
-  let pinned_cutover =
-    { S.Cutover.canary_fraction = 0.25;
-      window = 32;
-      min_observations = 8;
-      max_divergence_rate = 2.0;
-      promote_after = max_int;
-      initial = S.Cutover.Shadow;
-    }
-  in
   let run_one ~domains ~steal reqs =
     let config =
       { S.Pool.default_config with
@@ -2105,7 +2004,7 @@ let hotshard ?(smoke = false) () =
         steal; epoch_batch = 6;
       }
     in
-    match S.Pool.run ~config ~cutover:pinned_cutover req sample reqs with
+    match S.Pool.run ~config ~cutover:pinned interpose_req sample reqs with
     | Ok r -> r
     | Error e -> failwith ("hotshard bench: " ^ e)
   in

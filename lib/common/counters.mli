@@ -9,11 +9,10 @@
 
     Atomic increments from many domains contend on the counter's cache
     line, so hot loops should not charge a shared counter per event
-    from several domains.  The serving pool keeps its per-phase
-    counters off the request hot path altogether: shard workers carry
-    each request's access count in its outcome, and the coordinator —
-    the only writer — charges the phase counter when it consumes the
-    outcome. *)
+    from several domains.  The serving pool charges none on the
+    request hot path: shard workers carry each request's access count
+    in its outcome, and the coordinator aggregates it into the serving
+    metrics when it consumes the outcome. *)
 
 type t
 

@@ -55,7 +55,7 @@ val map_list : ?max_workers:int -> t -> ('a -> 'b) -> 'a list -> 'b list
     [submit t f] starts [f i] on every spawned worker [i] in
     [1 .. size-1] and returns immediately; slot 0 stays with the
     caller, which typically runs a coordinator loop consuming what the
-    jobs publish (see {!Ccv_common.Snapshot}).  There is no barrier:
+    jobs publish (see {!Ccv_common.Epoch}).  There is no barrier:
     jobs run until they return, pacing themselves against whatever the
     coordinator publishes.  [drain t] then blocks until every job has
     returned and raises {!Worker_error} for the lowest-numbered worker

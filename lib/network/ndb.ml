@@ -289,7 +289,7 @@ let sort_key_of t ~seed keys member_key =
       | Some _ | None -> Option.value (Row.get seed k) ~default:Value.Null)
     keys
 
-let compare_keys = List.compare Value.compare
+let key_compare = List.compare Value.compare
 
 (* Insert [member] into the occurrence list per the set's order. *)
 let place t (decl : Nschema.set_decl) ~seed existing member_key =
@@ -301,7 +301,7 @@ let place t (decl : Nschema.set_decl) ~seed existing member_key =
         (not decl.dups_allowed)
         && List.exists
              (fun m ->
-               compare_keys (sort_key_of t ~seed:Row.empty keys m) new_key = 0)
+               key_compare (sort_key_of t ~seed:Row.empty keys m) new_key = 0)
              existing
       in
       if dup then Error (Status.Duplicate_key decl.sname)
@@ -309,7 +309,7 @@ let place t (decl : Nschema.set_decl) ~seed existing member_key =
         let rec ins = function
           | [] -> [ member_key ]
           | m :: rest ->
-              if compare_keys (sort_key_of t ~seed:Row.empty keys m) new_key > 0
+              if key_compare (sort_key_of t ~seed:Row.empty keys m) new_key > 0
               then member_key :: m :: rest
               else m :: ins rest
         in

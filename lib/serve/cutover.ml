@@ -60,8 +60,33 @@ type t = {
   mutable gate_open : bool;
 }
 
+let validate config =
+  let fraction_ok f = f >= 0. && f <= 1. in
+  if config.window <= 0 then
+    Error
+      (Printf.sprintf "cutover window must be positive, got %d" config.window)
+  else if config.min_observations > config.window then
+    Error
+      (Printf.sprintf
+         "cutover min_observations %d exceeds the window %d: the divergence \
+          rate would never be judged, so the guard could never roll back"
+         config.min_observations config.window)
+  else if not (fraction_ok config.canary_fraction) then
+    Error
+      (Printf.sprintf "canary fraction must lie in [0, 1], got %g"
+         config.canary_fraction)
+  else
+    match config.initial with
+    | Canary f when not (fraction_ok f) ->
+        Error
+          (Printf.sprintf
+             "initial canary fraction must lie in [0, 1], got %g" f)
+    | Shadow | Canary _ | Cutover -> Ok ()
+
 let create config =
-  if config.window <= 0 then invalid_arg "Cutover.create: window must be > 0";
+  (match validate config with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Cutover.create: " ^ msg));
   { config;
     ring = Array.make config.window false;
     ring_len = 0;

@@ -59,6 +59,16 @@ type status = Serving | Aborted
 
 type t
 
+(** [Ok ()] when [config] lets the guard work: a positive [window],
+    [min_observations <= window] (otherwise the divergence rate is
+    never judged and nothing can roll back), and a [canary_fraction]
+    — and an [initial] [Canary] fraction — within [0, 1].
+    [max_divergence_rate] and [promote_after] are not bounded: a rate
+    above 1 or [max_int] pins the controller in its initial phase. *)
+val validate : config -> (unit, string) result
+
+(** Raises [Invalid_argument] with {!validate}'s message when the
+    config is rejected. *)
 val create : config -> t
 val phase : t -> phase
 val status : t -> status

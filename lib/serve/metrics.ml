@@ -78,23 +78,13 @@ let cell_create () =
   }
 
 type t = {
-  (* (phase, shard) cells and live per-phase counters, in first-seen
-     order; the coordinator is the only writer of the assoc structure
-     and of the counters — it charges them per consumed outcome — so
-     no mutex guards the assoc lookup. *)
+  (* (phase, shard) cells in first-seen order; the coordinator is the
+     only writer — it records each outcome as it consumes it — so no
+     mutex guards the assoc lookup. *)
   mutable cells : ((string * int) * cell) list;
-  mutable live_counters : (string * Counters.t) list;
 }
 
-let create () = { cells = []; live_counters = [] }
-
-let live t ~phase =
-  match List.assoc_opt phase t.live_counters with
-  | Some c -> c
-  | None ->
-      let c = Counters.create () in
-      t.live_counters <- t.live_counters @ [ (phase, c) ];
-      c
+let create () = { cells = [] }
 
 let cell t ~phase ~shard =
   match List.assoc_opt (phase, shard) t.cells with

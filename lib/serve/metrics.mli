@@ -3,17 +3,11 @@
     histogram, and the divergence log — rendered through
     {!Ccv_common.Tablefmt} and exportable as JSON rows.
 
-    Aggregation happens on the coordinating thread (outcomes are
-    merged row by row, in canonical order), and each phase also
-    carries a {e live} {!Ccv_common.Counters.t} — reads accumulate
-    engine record accesses, writes count served requests.  Shard
-    workers never charge it: the coordinator charges it per consumed
-    outcome, so the request hot path touches no shared cache line.
-    The charged totals are the ground truth that the merged
-    per-outcome view is checked against in the tests.  Each (phase, shard) cell also counts the
-    distinct logical epochs it served, exported in the JSON rows. *)
-
-open Ccv_common
+    Aggregation happens on the coordinating thread: outcomes are
+    merged row by row, in canonical order, so shard workers touch no
+    shared metrics state on the request hot path.  Each (phase, shard)
+    cell also counts the distinct logical epochs it served, exported
+    in the JSON rows. *)
 
 (** {2 Latency histograms} *)
 
@@ -34,10 +28,6 @@ val hist_quantile : hist -> float -> float
 type t
 
 val create : unit -> t
-
-(** The shared per-phase counter, created on first use.  Coordinator
-    (and post-run reader) only. *)
-val live : t -> phase:string -> Counters.t
 
 (** Merge one outcome (coordinator thread only). *)
 val record : t -> Shadow.outcome -> unit

@@ -216,12 +216,11 @@ let divergence_of ~epoch (o : Shadow.outcome) detail =
    Each shard's slice of the stream is chunked into epoch rows of
    [epoch_batch] requests.  A shard's rows execute strictly in epoch
    order (so its replica pair evolves exactly as it would
-   sequentially), and every finished row is published — by a worker
-   through a per-shard single-producer mailbox, by the coordinator
-   straight into the reorder buffer; nobody waits at any barrier.  The
-   coordinator drains the mailboxes into an {!Ccv_common.Epoch} reorder
-   buffer and consumes complete rows in canonical [(epoch, shard, seq)]
-   order — the same total order no matter how the physical arrivals
+   sequentially), and whichever slot ran a row publishes it with one
+   atomic write into its [(shard, row)] cell of an {!Ccv_common.Epoch}
+   reorder buffer; nobody waits at any barrier.  The coordinator
+   consumes complete rows in canonical [(epoch, shard, seq)] order —
+   the same total order no matter how the physical arrivals
    interleave, which is what keeps the report deterministic across
    domain counts.
 
@@ -284,38 +283,32 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
     drain_unrouted_shards ~shards ~rows_of:(fun s -> rows.(s));
   let buf = Epoch.create ~rows in
   let total = Epoch.total_rows buf in
-  let plan = Array.init total (fun _ -> Snapshot.cell None) in
+  let plan = Array.init total (fun _ -> Atomic.make None) in
   for e = 0 to min lag total - 1 do
-    Snapshot.publish plan.(e) (Some (Cutover.phase ctl, true))
+    Atomic.set plan.(e) (Some (Cutover.phase ctl, true))
   done;
   let halt_at = Atomic.make max_int in
-  let mailboxes = Array.init nshards (fun _ -> Snapshot.mailbox ()) in
   (* per-slot activity; each cell is written only by the domain running
      that slot and read after the drain *)
   let rows_run = Array.make nslots 0 in
   let stolen = Array.make nslots 0 in
   (* Run row [(s, e)]; [seq] is the request's rank within the row. *)
   let exec_row ~phase ~migration_ok s e =
-    let out = ref [] and fault = ref None in
-    List.iteri
-      (fun i r ->
-        if !fault = None then
+    let rec go seq acc = function
+      | [] -> Done (List.rev acc, Shard.migration_failed shards.(s))
+      | r :: rest -> (
           match
-            exec_request ~config ~shards ~phase ~migration_ok s ~epoch:e
-              ~seq:i r
+            exec_request ~config ~shards ~phase ~migration_ok s ~epoch:e ~seq r
           with
-          | o -> out := o :: !out
+          | o -> go (seq + 1) (o :: acc) rest
           | exception ex ->
-              fault :=
-                Some
-                  { at_shard = s;
-                    at_request = r.Request.id;
-                    fault_detail = Printexc.to_string ex;
-                  })
-      shard_rows.(s).(e);
-    match !fault with
-    | Some f -> Failed f
-    | None -> Done (List.rev !out, Shard.migration_failed shards.(s))
+              Failed
+                { at_shard = s;
+                  at_request = r.Request.id;
+                  fault_detail = Printexc.to_string ex;
+                })
+    in
+    go 0 [] shard_rows.(s).(e)
   in
   (* Coordinator state: consuming complete rows in canonical order. *)
   let outcomes_rev = ref [] and div_rev = ref [] in
@@ -338,7 +331,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
                f0 rest);
         Atomic.set halt_at (r + 1)
     | [] ->
-        (* a migration failure posted with this row rolls the
+        (* a migration failure published with this row rolls the
            controller back before the row's verdicts are observed;
            the canonical order picks the first failing shard, so the
            transition is the same at any domain count *)
@@ -377,10 +370,6 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
                 List.iter
                   (fun (o : Shadow.outcome) ->
                     Metrics.record metrics o;
-                    let live = Metrics.live metrics ~phase:o.Shadow.phase in
-                    Counters.record_reads live
-                      (o.Shadow.source_accesses + o.Shadow.target_accesses);
-                    Counters.record_write live;
                     if o.Shadow.shadowed then
                       Cutover.observe ctl
                         ~request_id:o.Shadow.request.Request.id ~epoch:r
@@ -397,38 +386,18 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
         else begin
           let e' = r + lag in
           if e' < total then
-            Snapshot.publish plan.(e')
-              (Some (Cutover.phase ctl, not !mig_failed))
+            Atomic.set plan.(e') (Some (Cutover.phase ctl, not !mig_failed))
         end
   in
-  let drain_mailboxes () =
-    let got = ref false in
-    Array.iteri
-      (fun s mb ->
-        match Snapshot.take_all mb with
-        | [] -> ()
-        | posts ->
-            got := true;
-            List.iter (fun (e, p) -> Epoch.publish buf ~shard:s ~epoch:e p) posts)
-      mailboxes;
-    !got
-  in
-  let pop_rows () =
-    let got = ref false in
-    let continue_ = ref true in
-    while !continue_ do
-      if
-        !error <> None
-        || Atomic.get halt_at <= Epoch.frontier buf
-      then continue_ := false
-      else
-        match Epoch.pop_row buf with
-        | None -> continue_ := false
-        | Some (r, cells) ->
-            got := true;
-            consume r cells
-    done;
-    !got
+  (* Consume every complete row up to the halt fence; [true] if any. *)
+  let rec pop_rows got =
+    if !error <> None || Atomic.get halt_at <= Epoch.frontier buf then got
+    else
+      match Epoch.pop_row buf with
+      | None -> got
+      | Some (r, cells) ->
+          consume r cells;
+          pop_rows true
   in
   let finished () =
     !error <> None || Epoch.frontier buf >= total
@@ -454,9 +423,9 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
   (* Complete shard [tok.ts]'s remaining rows with [Failed f],
      starting at the cursor, and park the cursor at the end: rows
      behind a dead shard must not stall the canonical order. *)
-  let fault_fill publish tok f =
+  let fault_fill tok f =
     for e = tok.trow to rows.(tok.ts) - 1 do
-      publish tok.ts e (Failed f)
+      Epoch.publish buf ~shard:tok.ts ~epoch:e (Failed f)
     done;
     tok.trow <- rows.(tok.ts)
   in
@@ -464,21 +433,21 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
      when the token has nothing left to run: its last row just ran, a
      fault filled its remaining rows, or its next row lies past the
      halt fence and will never be consumed. *)
-  let run_token ~slot ~publish tok =
+  let run_token ~slot tok =
     let s = tok.ts in
     let e = tok.trow in
     if Atomic.get halt_at <= e then `Retire
     else
-      match Snapshot.read plan.(e) with
+      match Atomic.get plan.(e) with
       | None -> `Blocked
       | Some (phase, mok) ->
           if config.live_migration && mok then
             backfill_shard ~config ~shards s ~rows:rows.(s) ~row:e;
           rows_run.(slot) <- rows_run.(slot) + 1;
           (match exec_row ~phase ~migration_ok:mok s e with
-          | Failed f -> fault_fill publish tok f
+          | Failed f -> fault_fill tok f
           | Done _ as p ->
-              publish s e p;
+              Epoch.publish buf ~shard:s ~epoch:e p;
               tok.trow <- e + 1);
           if tok.trow >= rows.(s) then `Retire else `Ran
   in
@@ -487,7 +456,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
      cell, [`Empty] when there was nothing to claim.  Time spent
      claiming that comes up empty or steals is charged as steal-wait,
      not idle. *)
-  let run_claim ~slot ~publish =
+  let run_claim ~slot =
     let t0 = clock () in
     match claim ~slot with
     | Stealqueue.Empty ->
@@ -500,7 +469,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
             Workpool.charge_steal_wait pool ~slot (clock () -. t0)
         | _ -> ());
         match
-          try run_token ~slot ~publish tok
+          try run_token ~slot tok
           with ex ->
             (* a scheduler-side failure (request faults are caught in
                [exec_row]) must still complete the shard's rows or the
@@ -513,7 +482,7 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
                 fault_detail = "scheduler: " ^ Printexc.to_string ex;
               }
             in
-            (try fault_fill publish tok f with _ -> ());
+            (try fault_fill tok f with _ -> ());
             `Retire
         with
         | `Ran ->
@@ -540,11 +509,10 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
      the phase cell, and under pinning nobody else will run it, so that
      slot keeps napping at the short interval. *)
   let worker w =
-    let publish s e p = Snapshot.post mailboxes.(s) (e, p) in
     let spins = ref 0 in
     let nap = ref 50e-6 in
     while Atomic.get pending > 0 do
-      match run_claim ~slot:w ~publish with
+      match run_claim ~slot:w with
       | `Ran ->
           spins := 0;
           nap := 50e-6
@@ -561,27 +529,22 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
           Workpool.charge_idle pool ~slot:w (clock () -. t0)
     done
   in
-  (* The coordinator claims like any other slot, but publishes into the
-     reorder buffer directly — no mailbox hop for slot 0.  One claim per
-     pass: it must come back to the mailboxes (and the plan-cell
-     publication consuming drives) after every row, or workers
-     block on unpublished phase cells while it grinds through a
-     burst. *)
+  (* The coordinator claims like any other slot.  One claim per pass:
+     it must come back to consuming (and the plan-cell publication
+     consuming drives) after every row, or workers block on
+     unpublished phase cells while it grinds through a burst. *)
   let coordinate () =
-    let publish s e p = Epoch.publish buf ~shard:s ~epoch:e p in
     let spins = ref 0 in
     while not (finished ()) do
-      let progress = run_claim ~slot:0 ~publish = `Ran in
-      let progress = drain_mailboxes () || progress in
-      let progress = pop_rows () || progress in
+      let progress = run_claim ~slot:0 = `Ran in
+      let progress = pop_rows false || progress in
       if progress || finished () then spins := 0
       else if nslots > 1 && Workpool.quiescent pool then begin
         (* workers leave only once every token retired, so whatever
-           they posted is final — one last sweep, then anything still
-           missing means a job died ([drain] raises for a crash) *)
+           they published is final — one last sweep, then anything
+           still missing means a job died ([drain] raises for a crash) *)
         Workpool.drain pool;
-        ignore (drain_mailboxes ());
-        ignore (pop_rows ());
+        ignore (pop_rows false);
         if not (finished ()) then
           failwith
             "epoch serving: workers exited without completing their rows"
@@ -617,11 +580,10 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
 (* ------------------------------------------------------------------ *)
 
 let run ?(config = default_config) ~cutover req sdb requests =
-  if cutover.Cutover.window <= 0 then
-    Error
-      (Printf.sprintf "cutover window must be positive, got %d"
-         cutover.Cutover.window)
-  else if
+  match Cutover.validate cutover with
+  | Error msg -> Error msg
+  | Ok () ->
+  if
     config.live_migration
     && not (Cutover.equal_phase cutover.Cutover.initial Cutover.Shadow)
   then

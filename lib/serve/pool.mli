@@ -3,13 +3,12 @@
 
     Each shard's slice of the stream is chunked into {e epoch rows} of
     [epoch_batch] requests.  A shard's rows run strictly in epoch
-    order; each finished row is published — through a per-shard
-    single-producer mailbox ({!Ccv_common.Snapshot}) from a worker, or
-    directly from the coordinator.  The coordinator reassembles the
-    rows in an {!Ccv_common.Epoch} reorder buffer and consumes them in
-    canonical [(epoch, shard, seq)] order; the phase a row executes
-    under is pre-committed through published atomic cells, a constant
-    two rows ahead of the controller.  Nobody waits at a barrier — a
+    order; whichever slot ran a row publishes it with one atomic write
+    into its [(shard, row)] cell of an {!Ccv_common.Epoch} reorder
+    buffer, and the coordinator consumes complete rows in canonical
+    [(epoch, shard, seq)] order; the phase a row executes under is
+    pre-committed through published atomic cells, a constant two rows
+    ahead of the controller.  Nobody waits at a barrier — a
     fast shard runs ahead of a slow one.
 
     {b Two claim policies.}  Shard cursors circulate as tokens in
@@ -34,9 +33,9 @@
     domain and under 8, stealing or pinned, yields the same
     transitions, divergence log and served output, bit for bit.
 
-    Workers charge no shared counter per request: each outcome carries
-    its access counts, and the coordinator charges the phase's live
-    counter when it consumes the outcome.
+    Workers touch no shared metrics state per request: each outcome
+    carries its access counts, and the coordinator records it into
+    {!Metrics} when it consumes the outcome.
 
     A worker never lets an exception escape into the pool.  Faults are
     caught next to the failing request and surfaced as [Error] from

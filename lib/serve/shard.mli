@@ -77,8 +77,8 @@ val baseline_stats : t -> Ccv_plan.Stats.t option
     request's rank within the shard's slice of it — and [epoch] also
     tags plan-cache compilations done on this request's behalf.  The
     outcome carries the request's engine accesses; the pool's
-    coordinator charges them to the phase's live counter when it
-    consumes the outcome, so execution touches no shared counter.
+    coordinator records them into {!Metrics} when it consumes the
+    outcome, so execution touches no shared counter.
     [clock] supplies seconds for latency measurement.
 
     Under live migration the request's touch set is faulted in first

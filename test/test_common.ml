@@ -353,52 +353,10 @@ let workpool_tests =
         Workpool.shutdown p);
   ]
 
-(* ---------------- Snapshot cells and mailboxes ---------------- *)
-
-let snapshot_tests =
-  [ Alcotest.test_case "cell publish/read" `Quick (fun () ->
-        let c = Snapshot.cell 0 in
-        check "initial" true (Snapshot.read c = 0);
-        Snapshot.publish c 42;
-        check "published" true (Snapshot.read c = 42));
-    Alcotest.test_case "mailbox preserves post order" `Quick (fun () ->
-        let mb = Snapshot.mailbox () in
-        check "empty" true (Snapshot.take_all mb = []);
-        List.iter (Snapshot.post mb) [ 1; 2; 3 ];
-        check "fifo" true (Snapshot.take_all mb = [ 1; 2; 3 ]);
-        check "drained" true (Snapshot.take_all mb = []);
-        Snapshot.post mb 4;
-        check "reusable" true (Snapshot.take_all mb = [ 4 ]));
-    Alcotest.test_case "mailbox survives cross-domain posting" `Quick
-      (fun () ->
-        (* one producer domain, one consumer: everything posted is
-           taken exactly once, in order *)
-        let mb = Snapshot.mailbox () in
-        let n = 1000 in
-        let producer =
-          Domain.spawn (fun () ->
-              for i = 0 to n - 1 do
-                Snapshot.post mb i
-              done)
-        in
-        let got = ref [] in
-        while List.length !got < n do
-          got := !got @ Snapshot.take_all mb
-        done;
-        Domain.join producer;
-        check "all posts, in order" true (!got = List.init n Fun.id));
-  ]
-
 (* ---------------- Epoch reorder buffer ---------------- *)
 
 let epoch_tests =
-  [ Alcotest.test_case "key order is (epoch, shard, seq)" `Quick (fun () ->
-        let k e s q = { Epoch.epoch = e; shard = s; seq = q } in
-        check "epoch first" true (Epoch.compare_key (k 0 9 9) (k 1 0 0) < 0);
-        check "then shard" true (Epoch.compare_key (k 1 0 9) (k 1 1 0) < 0);
-        check "then seq" true (Epoch.compare_key (k 1 1 0) (k 1 1 1) < 0);
-        check "equal" true (Epoch.compare_key (k 2 3 4) (k 2 3 4) = 0));
-    Alcotest.test_case "rows release only when complete" `Quick (fun () ->
+  [ Alcotest.test_case "rows release only when complete" `Quick (fun () ->
         let b = Epoch.create ~rows:[| 2; 1; 2 |] in
         check "two rows total" true (Epoch.total_rows b = 2);
         Epoch.publish b ~shard:0 ~epoch:0 "a0";
@@ -426,6 +384,81 @@ let epoch_tests =
           Epoch.publish b ~shard:0 ~epoch:1 "z";
           Alcotest.fail "out-of-range publish accepted"
         with Invalid_argument _ -> ());
+    Alcotest.test_case "cross-domain publish drains in canonical order"
+      `Quick (fun () ->
+        (* two publishing domains split a seed-shuffled list of
+           disjoint cells while this domain pops concurrently: every
+           row comes out exactly once, in (epoch, shard) order, with
+           the payload its publisher built *)
+        for seed = 1 to 20 do
+          let rng = Prng.create ~seed in
+          let rows = Array.init 5 (fun _ -> Prng.int rng 40) in
+          let all =
+            Array.to_list rows
+            |> List.mapi (fun s n -> List.init n (fun e -> (s, e)))
+            |> List.concat |> Prng.shuffle rng
+          in
+          let b = Epoch.create ~rows in
+          let publisher parity =
+            Domain.spawn (fun () ->
+                List.iteri
+                  (fun i (s, e) ->
+                    if i mod 2 = parity then
+                      Epoch.publish b ~shard:s ~epoch:e (s, e))
+                  all)
+          in
+          let d0 = publisher 0 and d1 = publisher 1 in
+          let drained = ref [] in
+          while Epoch.frontier b < Epoch.total_rows b do
+            match Epoch.pop_row b with
+            | None -> Domain.cpu_relax ()
+            | Some (e, cells) ->
+                List.iter (fun (s, v) -> drained := (e, s, v) :: !drained) cells
+          done;
+          Domain.join d0;
+          Domain.join d1;
+          (* cells are distinct, so (epoch, shard) order is a sort *)
+          let canonical =
+            List.sort compare (List.map (fun (s, e) -> (e, s, (s, e))) all)
+          in
+          check
+            (Printf.sprintf "seed %d: exactly once, canonical order" seed)
+            true
+            (List.rev !drained = canonical)
+        done);
+    Alcotest.test_case "racing publishes to one cell: exactly one wins"
+      `Quick (fun () ->
+        (* both domains publish every cell, in the same order, after a
+           common start signal: each cell keeps exactly one payload and
+           the loser of each race gets [Invalid_argument] *)
+        let n = 2000 in
+        let b = Epoch.create ~rows:[| n |] in
+        let go = Atomic.make false in
+        let racer id =
+          Domain.spawn (fun () ->
+              while not (Atomic.get go) do
+                Domain.cpu_relax ()
+              done;
+              let wins = ref 0 in
+              for e = 0 to n - 1 do
+                match Epoch.publish b ~shard:0 ~epoch:e id with
+                | () -> incr wins
+                | exception Invalid_argument _ -> ()
+              done;
+              !wins)
+        in
+        let d0 = racer 0 and d1 = racer 1 in
+        Atomic.set go true;
+        let w0 = Domain.join d0 and w1 = Domain.join d1 in
+        check "one winner per cell" true (w0 + w1 = n);
+        let kept = Array.make 2 0 in
+        for _ = 1 to n do
+          match Epoch.pop_row b with
+          | Some (_, [ (0, id) ]) -> kept.(id) <- kept.(id) + 1
+          | _ -> Alcotest.fail "row missing or malformed"
+        done;
+        check "each domain's wins are the payloads kept" true
+          (kept = [| w0; w1 |]));
   ]
 
 let epoch_props =
@@ -657,7 +690,6 @@ let () =
       qsuite "prng-props" prng_props;
       ("misc", misc_tests);
       ("workpool", workpool_tests);
-      ("snapshot", snapshot_tests);
       ("epoch", epoch_tests);
       qsuite "epoch-props" epoch_props;
       ("stealqueue", stealqueue_tests);

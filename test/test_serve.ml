@@ -102,34 +102,6 @@ let clean_cutover () =
            contains ~affix:"promoted" t.Cutover.reason)
          r1.Pool.transitions)
 
-(* The shared per-phase live counters (charged concurrently by the
-   shard workers) must agree with the per-outcome sums — the
-   domain-safety check for the Atomic counters. *)
-let live_counters_consistent () =
-  let reqs = requests ~seed:202 ~n:32 in
-  let r = run_service ~domains:4 ~cutover:promoting_cutover [ interpose_op ] reqs in
-  let by_phase =
-    List.fold_left
-      (fun acc (o : Shadow.outcome) ->
-        let key = o.Shadow.phase in
-        let reads, writes =
-          Option.value (List.assoc_opt key acc) ~default:(0, 0)
-        in
-        (key,
-         (reads + o.Shadow.source_accesses + o.Shadow.target_accesses,
-          writes + 1))
-        :: List.remove_assoc key acc)
-      [] r.Pool.outcomes
-  in
-  List.iter
-    (fun (phase, (reads, writes)) ->
-      let live = Metrics.live r.Pool.metrics ~phase in
-      check (phase ^ ": live reads = summed accesses") true
-        (Counters.reads live = reads);
-      check (phase ^ ": live writes = served requests") true
-        (Counters.writes live = writes))
-    by_phase
-
 (* ------------------------------------------------------------------ *)
 (* (b) injected divergence rolls the canary back                       *)
 
@@ -574,20 +546,64 @@ let worker_fault_propagates () =
             (contains ~affix:"request 17" e))
     [ 1; 2; 4 ]
 
-(* A cutover window the controller cannot hold is a configuration
+(* A cutover config the controller cannot hold is a configuration
    error, reported like any other start-up failure rather than raised
    out of the pool. *)
-let zero_window_is_error () =
+let start_with cutover =
   let reqs = requests ~seed:101 ~n:8 in
-  let cutover = { promoting_cutover with Cutover.window = 0 } in
   match
     Pool.run ~cutover (net_req [ interpose_op ]) (W.Company.instance ()) reqs
   with
-  | Ok _ -> Alcotest.fail "window 0 was accepted"
-  | Error e -> check "error names the window" true (contains ~affix:"window" e)
+  | Ok _ -> Ok ()
+  | Error e -> Error e
   | exception ex ->
-      Alcotest.failf "window 0 raised %s instead of Error"
+      Alcotest.failf "cutover config raised %s instead of Error"
         (Printexc.to_string ex)
+
+let zero_window_is_error () =
+  match start_with { promoting_cutover with Cutover.window = 0 } with
+  | Ok () -> Alcotest.fail "window 0 was accepted"
+  | Error e -> check "error names the window" true (contains ~affix:"window" e)
+
+(* Configs under which the guard can never act are rejected up front:
+   a judging threshold the window never reaches, or a canary fraction
+   that is not a fraction.  The controller-pinning values the benchmark
+   uses (a rate above 1, [max_int] promotion) stay legal. *)
+let guard_disabling_cutover_is_error () =
+  List.iter
+    (fun (label, affix, cutover) ->
+      (match start_with cutover with
+      | Ok () -> Alcotest.failf "%s was accepted" label
+      | Error e ->
+          check (label ^ ": error names the field") true (contains ~affix e));
+      check (label ^ ": Cutover.create refuses it") true
+        (match Cutover.create cutover with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ ( "min_observations above the window",
+        "min_observations",
+        { promoting_cutover with Cutover.window = 4; min_observations = 100 } );
+      ( "canary fraction 1.5",
+        "canary",
+        { promoting_cutover with Cutover.canary_fraction = 1.5 } );
+      ( "negative canary fraction",
+        "canary",
+        { promoting_cutover with Cutover.canary_fraction = -0.1 } );
+      ( "initial canary 1.5",
+        "canary",
+        { promoting_cutover with Cutover.initial = Cutover.Canary 1.5 } );
+    ];
+  check "pinned controller (rate 2.0, promote_after max_int) is accepted" true
+    (start_with
+       { promoting_cutover with
+         Cutover.max_divergence_rate = 2.0;
+         promote_after = max_int;
+       }
+    = Ok ());
+  check "min_observations = window is accepted" true
+    (Cutover.validate
+       { promoting_cutover with Cutover.window = 6; min_observations = 6 }
+    = Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* (d) the per-shard plan cache: same served behaviour with and
@@ -627,8 +643,8 @@ let () =
     [ ( "phases",
         [ Alcotest.test_case "clean conversion reaches cutover" `Quick
             clean_cutover;
-          Alcotest.test_case "live counters are domain-safe" `Quick
-            live_counters_consistent;
+          Alcotest.test_case "guard-disabling cutover configs are Errors"
+            `Quick guard_disabling_cutover_is_error;
           Alcotest.test_case "injected divergence rolls back the canary" `Quick
             injected_divergence_rolls_back;
           Alcotest.test_case "deterministic given the seed" `Quick
