@@ -1673,14 +1673,23 @@ let migration ?(smoke = false) () =
 (* drain: pure backfill throughput — every slot of a scaled instance
    drained through [Migrate.backfill_to] with no serving in the way.
    Isolates the per-batch slice-assembly cost of [Migrate.merge_batch]:
-   superlinear assembly shows up as slots/s falling with volume. *)
+   superlinear assembly shows up as slots/s falling with volume, and a
+   closure that grows with volume as rows translated per slot rising.
+   The smoke variant gates that count (deterministic, so it cannot
+   flap): rows per slot at 3000 records may be at most 1.25x the rows
+   per slot at 250. *)
 
-let drain () =
+let drain ?(smoke = false) () =
   section
-    "DRAIN  backfill drain throughput vs instance volume (merge_batch \
-     slice assembly must stay near-linear)";
+    (if smoke then
+       "DRAIN-SMOKE  rows translated per drained slot must not grow with \
+        volume"
+     else
+       "DRAIN  backfill drain throughput vs instance volume (merge_batch \
+        slice assembly must stay near-linear)");
   let module M = Ccv_migrate.Migrate in
-  let rows = ref [] in
+  let volumes = if smoke then [ 250; 3000 ] else [ 250; 1000; 3000 ] in
+  let rows = ref [] and rows_per_slot = ref [] in
   List.iter
     (fun vol ->
       let sample = W.Company.scaled ~seed:42 ~n:vol in
@@ -1701,29 +1710,50 @@ let drain () =
           | Some msg -> failwith ("drain bench: migration failed: " ^ msg)
           | None -> ());
           let per_slot_us = ms *. 1000. /. float (max total 1) in
+          let per_slot_rows =
+            float (M.summary m).M.translated_rows /. float (max total 1)
+          in
+          rows_per_slot := (vol, per_slot_rows) :: !rows_per_slot;
           emit_json
-            [ ("experiment", json_str "drain");
+            [ ("experiment", json_str (if smoke then "drain-smoke" else "drain"));
               ("volume", string_of_int vol);
               ("slots", string_of_int total);
               ("wall_ms", json_float ms);
               ("slots_per_s", json_float (float total /. (ms /. 1000.)));
               ("per_slot_us", json_float per_slot_us);
+              ("closure_rows_per_slot", json_float per_slot_rows);
             ];
           rows :=
             [ string_of_int vol; string_of_int total;
               Tablefmt.float_cell ms;
               Tablefmt.float_cell (float total /. (ms /. 1000.));
               Tablefmt.float_cell per_slot_us;
+              Printf.sprintf "%.2f" per_slot_rows;
             ]
             :: !rows)
-    [ 250; 1000; 3000 ];
+    volumes;
   Tablefmt.print
     ~title:"full backfill drain, batch 48, interpose op (no serving)"
     ~aligns:
       [ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-        Tablefmt.Right ]
-    [ "volume"; "slots"; "wall ms"; "slots/s"; "us/slot" ]
-    (List.rev !rows)
+        Tablefmt.Right; Tablefmt.Right ]
+    [ "volume"; "slots"; "wall ms"; "slots/s"; "us/slot"; "rows/slot" ]
+    (List.rev !rows);
+  if smoke then begin
+    let small = List.assoc 250 !rows_per_slot
+    and large = List.assoc 3000 !rows_per_slot in
+    Printf.printf
+      "rows/slot: %.2f at 250 records, %.2f at 3000 records (%.2fx)\n" small
+      large (large /. small);
+    if large > small *. 1.25 then begin
+      Printf.eprintf
+        "DRAIN REGRESSION: rows translated per drained slot grow with \
+         volume: %.2f at 3000 records vs %.2f at 250 (%.2fx, bound 1.25x)\n"
+        large small (large /. small);
+      exit 1
+    end;
+    Printf.printf "smoke: the backfill closure does not grow with volume\n"
+  end
 
 (* ------------------------------------------------------------------ *)
 (* cost: cost-based plan selection from live cardinality statistics vs
@@ -2246,7 +2276,8 @@ let all =
     ("scaling-smoke", (fun () -> scaling ~smoke:true ()));
     ("migration", (fun () -> migration ()));
     ("migration-smoke", (fun () -> migration ~smoke:true ()));
-    ("drain", drain);
+    ("drain", (fun () -> drain ()));
+    ("drain-smoke", (fun () -> drain ~smoke:true ()));
     ("cost", (fun () -> cost_bench ()));
     ("cost-smoke", (fun () -> cost_bench ~gate:true ()));
     ("hotshard", (fun () -> hotshard ()));

@@ -95,7 +95,16 @@ let pp_ty ppf ty =
     | Tstr -> "STR"
     | Tbool -> "BOOL")
 
-let show v = Fmt.str "%a" pp v
+(* Same bytes as [Fmt.str "%a" pp v] without a formatter: [show] is on
+   the hot path of every record-key rendering. *)
+let show = function
+  | Null -> "NULL"
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%g" f
+  | Str s -> "\"" ^ String.escaped s ^ "\""
+  | Bool true -> "TRUE"
+  | Bool false -> "FALSE"
+
 let show_ty ty = Fmt.str "%a" pp_ty ty
 
 let to_display = function

@@ -22,20 +22,22 @@ type t = {
   loader : Mapping.loader;
   slots : (string * Row.t) array;
   slot_of : (string * string, int) Hashtbl.t;
+  blocks : (string, int * int) Hashtbl.t;
+      (* canonical entity -> its contiguous slot range [lo, hi) *)
   done_ : bool array;
   mutable n_done : int;
   mutable n_faulted : int;  (* slots drained by request fault-in *)
   mutable n_backfilled : int;  (* slots drained by the backfill driver *)
+  mutable n_translated : int;  (* rows assembled into translated slices *)
   mutable watermark : int;  (* slots [0, watermark) scanned by backfill *)
   mutable failed : string option;
   mutable warnings : string list;
   merged : (string * string, unit) Hashtbl.t;
       (* target rows already appended to the replica *)
-  seen_links : (string, unit) Hashtbl.t;
-  mutable partner_index :
-    (string * string, (string * Value.t list) list) Hashtbl.t option;
-      (* record -> link partners over the immutable snapshot, built on
-         first use so [start] stays cheap *)
+  seen_links : (string * string * string, unit) Hashtbl.t;
+      (* (assoc, left key, right key) of target links already appended *)
+  partner_index : (string * string, (string * Value.t list) list) Hashtbl.t;
+      (* record -> link partners over the immutable snapshot *)
   mutable row_index : (string * string, int * Row.t) Hashtbl.t option;
       (* (entity, key) -> extent position and row over the snapshot;
          lets a slice collect exactly its closure instead of filtering
@@ -49,6 +51,7 @@ type summary = {
   total_slots : int;
   faulted : int;
   backfilled : int;
+  translated_rows : int;
   mig_warnings : string list;
   mig_failed : string option;
 }
@@ -70,26 +73,77 @@ let make_loader target_model target_schema =
       let map, hschema = Mapping.derive_hier target_schema in
       Mapping.loader_hier map hschema
 
+(* Record -> link partners over the immutable snapshot, in one pass
+   over its links: per-record link scans would make an entity drain
+   quadratic in the instance size. *)
+let build_partner_index sdb =
+  let idx = Hashtbl.create 1024 in
+  let add ename key partner =
+    let k = (Field.canon ename, key_repr key) in
+    Hashtbl.replace idx k
+      (partner :: Option.value (Hashtbl.find_opt idx k) ~default:[])
+  in
+  List.iter
+    (fun (a : Semantic.assoc) ->
+      List.iter
+        (fun (l : Sdb.link) ->
+          add a.left l.lkey (Field.canon a.right, l.rkey);
+          add a.right l.rkey (Field.canon a.left, l.lkey))
+        (Sdb.links_silent sdb a.aname))
+    (Sdb.schema sdb).Semantic.assocs;
+  idx
+
+(* Slot order.  Entity blocks follow [Mapping.load_order], so owners
+   still drain first.  Within a block, records are stably sorted by the
+   smallest slot among their link partners in earlier blocks: one
+   owner's members sit together, and a backfill batch's two-hop
+   closure spans a few owners' members instead of one owner per
+   record.  Records without such a partner keep snapshot order at the
+   end of their block.  A pure function of the snapshot. *)
+let order_slots sdb partner_index =
+  let slot_of = Hashtbl.create 1024 and blocks = Hashtbl.create 16 in
+  let next = ref 0 in
+  let block (e : Semantic.entity) =
+    let en = Field.canon e.ename in
+    let earliest_partner kr =
+      List.fold_left
+        (fun acc (pn, pkey) ->
+          match Hashtbl.find_opt slot_of (pn, key_repr pkey) with
+          | Some i -> min acc i
+          | None -> acc)
+        max_int
+        (Option.value (Hashtbl.find_opt partner_index (en, kr)) ~default:[])
+    in
+    let ranked =
+      List.stable_sort
+        (fun (a, _, _) (b, _, _) -> Int.compare a b)
+        (List.map
+           (fun row ->
+             let kr = key_repr (Sdb.key_of e row) in
+             (earliest_partner kr, kr, row))
+           (Sdb.rows_silent sdb e.ename))
+    in
+    let lo = !next in
+    List.iter
+      (fun (_, kr, _) ->
+        Hashtbl.replace slot_of (en, kr) !next;
+        incr next)
+      ranked;
+    Hashtbl.replace blocks en (lo, !next);
+    List.map (fun (_, _, row) -> (e.ename, row)) ranked
+  in
+  let slots =
+    Array.of_list
+      (List.concat_map block (Mapping.load_order (Sdb.schema sdb)))
+  in
+  (slots, slot_of, blocks)
+
 let start ?(config = default_config) ~shard_id (req : Supervisor.request) sdb =
   match Supervisor.prepare_live req sdb with
   | Error e -> Error e
   | Ok (servable, target_schema) ->
-      let schema = Sdb.schema sdb in
-      let slots =
-        Array.of_list
-          (List.concat_map
-             (fun (e : Semantic.entity) ->
-               List.map (fun row -> (e.ename, row)) (Sdb.rows_silent sdb e.ename))
-             (Mapping.load_order schema))
-      in
-      let slot_of = Hashtbl.create (Array.length slots * 2) in
-      Array.iteri
-        (fun i (ename, row) ->
-          let e = Semantic.find_entity_exn schema ename in
-          Hashtbl.replace slot_of
-            (Field.canon ename, key_repr (Sdb.key_of e row))
-            i)
-        slots;
+      let partner_index = build_partner_index sdb in
+      let slots, slot_of, blocks = order_slots sdb partner_index in
       let t =
         { shard_id;
           config;
@@ -100,16 +154,18 @@ let start ?(config = default_config) ~shard_id (req : Supervisor.request) sdb =
           loader = make_loader req.Supervisor.target_model target_schema;
           slots;
           slot_of;
+          blocks;
           done_ = Array.make (Array.length slots) false;
           n_done = 0;
           n_faulted = 0;
           n_backfilled = 0;
+          n_translated = 0;
           watermark = 0;
           failed = None;
           warnings = [];
           merged = Hashtbl.create 256;
           seen_links = Hashtbl.create 256;
-          partner_index = None;
+          partner_index;
           row_index = None;
           link_index = None;
         }
@@ -121,10 +177,13 @@ let n_done t = t.n_done
 let failed t = t.failed
 let mark_failed t msg = if t.failed = None then t.failed <- Some msg
 
+let slot_order t = Array.to_list t.slots
+
 let summary t =
   { total_slots = total t;
     faulted = t.n_faulted;
     backfilled = t.n_backfilled;
+    translated_rows = t.n_translated;
     mig_warnings = List.rev t.warnings;
     mig_failed = t.failed;
   }
@@ -192,38 +251,13 @@ let derived_entities t =
    own link neighbourhood complete; schemas whose ops reach deeper
    than two associations are out of scope (ours have at most two). *)
 
-(* One pass over the snapshot's links, memoized: the snapshot never
-   changes, and per-record link scans would make an entity drain
-   quadratic in the instance size. *)
-let partner_index t =
-  match t.partner_index with
-  | Some idx -> idx
-  | None ->
-      let idx = Hashtbl.create 1024 in
-      let add ename key partner =
-        let k = (Field.canon ename, key_repr key) in
-        Hashtbl.replace idx k
-          (partner :: Option.value (Hashtbl.find_opt idx k) ~default:[])
-      in
-      let schema = Sdb.schema t.snapshot in
-      List.iter
-        (fun (a : Semantic.assoc) ->
-          List.iter
-            (fun (l : Sdb.link) ->
-              add a.left l.lkey (Field.canon a.right, l.rkey);
-              add a.right l.rkey (Field.canon a.left, l.lkey))
-            (Sdb.links_silent t.snapshot a.aname))
-        schema.Semantic.assocs;
-      t.partner_index <- Some idx;
-      idx
-
 let partners_of t (ename, key) =
   Option.value
-    (Hashtbl.find_opt (partner_index t) (Field.canon ename, key_repr key))
+    (Hashtbl.find_opt t.partner_index (Field.canon ename, key_repr key))
     ~default:[]
 
-(* Positional indexes over the immutable snapshot, memoized like
-   [partner_index]: slice assembly looks up exactly the closure's rows
+(* Positional indexes over the immutable snapshot, memoized: slice
+   assembly looks up exactly the closure's rows
    and links instead of filtering every full extent and link set per
    batch, which made a drain quadratic in the instance size.  The
    recorded positions let a slice keep extent/link-set order, so the
@@ -348,6 +382,10 @@ let merge_batch t ~via (batch : int list) =
                  (seen_keys (Field.canon a.left))) ))
         schema.Semantic.assocs
     in
+    t.n_translated <-
+      List.fold_left
+        (fun acc (_, rows) -> acc + List.length rows)
+        t.n_translated slice_rows;
     (match
        Data_translate.translate_slice ~snapshot:t.snapshot ~ops:t.ops
          ~rows:slice_rows ~links:slice_links
@@ -400,8 +438,7 @@ let merge_batch t ~via (batch : int list) =
             List.iter
               (fun (l : Sdb.link) ->
                 let lk =
-                  Fmt.str "%s|%s->%s" (Field.canon a.aname) (key_repr l.lkey)
-                    (key_repr l.rkey)
+                  (Field.canon a.aname, key_repr l.lkey, key_repr l.rkey)
                 in
                 if
                   (not (Hashtbl.mem t.seen_links lk))
@@ -546,13 +583,15 @@ let slots_of_demand t = function
       match Hashtbl.find_opt t.slot_of (Field.canon ename, key_repr key) with
       | Some slot when not t.done_.(slot) -> [ slot ]
       | Some _ | None -> [])
-  | All ename ->
-      let acc = ref [] in
-      Array.iteri
-        (fun i (en, _) ->
-          if (not t.done_.(i)) && Field.name_equal en ename then acc := i :: !acc)
-        t.slots;
-      List.rev !acc
+  | All ename -> (
+      match Hashtbl.find_opt t.blocks (Field.canon ename) with
+      | None -> []
+      | Some (lo, hi) ->
+          let acc = ref [] in
+          for i = hi - 1 downto lo do
+            if not t.done_.(i) then acc := i :: !acc
+          done;
+          !acc)
 
 (* ------------------------------------------------------------------ *)
 (* Admission.  The closure translated per drained record covers two
@@ -573,7 +612,7 @@ let note_refusal t (d : Diagnostic.t) =
 (* [prepare_request t aprog] — fault in everything the request may
    touch; returns the number of records translated on demand. *)
 let prepare_request t aprog =
-  if t.failed <> None then 0
+  if t.failed <> None || t.n_done = total t then 0
   else begin
     let schema = Sdb.schema t.snapshot in
     let slots =

@@ -13,7 +13,9 @@
       drain one record, scans drain the whole entity;
     - {b backfill}: {!backfill_to} drains the slots a deterministic
       schedule ({!Backfill.watermark_target}) assigns to each logical
-      row, in batches, between serving rows;
+      row, in batches, between serving rows, in an owner-grouped slot
+      order (see {!start}) that keeps each batch's closure close to
+      the batch itself;
     - {b dual-apply}: mutating requests run on both replicas (the
       serving layer's shadow pair), which is sound because their touch
       set was faulted in first — a write always lands on
@@ -25,7 +27,8 @@
     compute across links (Interpose groupings, Collapse field pulls)
     see full context; the record and its hop-1 partners merge into the
     replica (insert-if-absent, via {!Ccv_transform.Mapping.loader_add}
-    in lenient mode), hop 2 is context only.  Restructurings whose
+    in lenient mode), hop 2 is context only; {!summary} counts the
+    rows every closure translated.  Restructurings whose
     data dependencies span more than two associations are out of
     scope.  The final contents equal a bulk translation followed by
     the same writes, because per-record snapshot translation commutes
@@ -55,6 +58,10 @@ type summary = {
   total_slots : int;  (** source records subject to migration *)
   faulted : int;  (** slots drained on demand by requests *)
   backfilled : int;  (** slots drained by the backfill driver *)
+  translated_rows : int;
+      (** source rows assembled into translated slices over fault-in
+          and backfill — the closure's amplification: divided by the
+          slots drained, the rows each drained record cost *)
   mig_warnings : string list;
       (** records/links the merge could not place (e.g. deleted by a
           concurrent dual-applied cascade), plus admission refusals
@@ -63,8 +70,17 @@ type summary = {
 }
 
 (** [start ~shard_id req sdb] — snapshot [sdb], derive the target
-    schema, build the empty target replica and the pending set.
-    Cheap: no data is translated yet. *)
+    schema, build the empty target replica, the snapshot's partner
+    index and the pending set.  No data is translated yet.
+
+    The slots are ordered so that a backfill batch's closure stays
+    close to the batch itself.  Entity blocks follow
+    {!Ccv_transform.Mapping.load_order}, so owners drain first; within
+    a block, records are stably sorted by the smallest slot among their
+    link partners in earlier blocks, so one owner's members are
+    contiguous.  Records without such a partner keep snapshot order at
+    the end of their block.  The order is a pure function of the
+    snapshot, hence the same at every domain count. *)
 val start :
   ?config:config -> shard_id:int -> Supervisor.request -> Sdb.t ->
   (t * Supervisor.servable, string * string) result
@@ -75,6 +91,9 @@ val watermark : t -> int
 val failed : t -> string option
 val mark_failed : t -> string -> unit
 val summary : t -> summary
+
+(** The pending records in drain order: (source entity, row) per slot. *)
+val slot_order : t -> (string * Ccv_common.Row.t) list
 
 (** The target replica as served.  Dual-applied writes advance the
     shard's copy outside the loader: [sync_engine_db] pushes the

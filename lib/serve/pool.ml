@@ -686,6 +686,9 @@ let run ?(config = default_config) ~cutover req sdb requests =
                            faulted = acc.Migrate.faulted + s.Migrate.faulted;
                            backfilled =
                              acc.Migrate.backfilled + s.Migrate.backfilled;
+                           translated_rows =
+                             acc.Migrate.translated_rows
+                             + s.Migrate.translated_rows;
                            mig_warnings =
                              acc.Migrate.mig_warnings @ s.Migrate.mig_warnings;
                            mig_failed =
@@ -696,6 +699,7 @@ let run ?(config = default_config) ~cutover req sdb requests =
                    { Migrate.total_slots = 0;
                      faulted = 0;
                      backfilled = 0;
+                     translated_rows = 0;
                      mig_warnings = [];
                      mig_failed = None;
                    }
@@ -783,8 +787,10 @@ let render r =
   | Some m ->
       Buffer.add_string b
         (Printf.sprintf
-           "live migration: %d slot(s) — %d faulted in, %d backfilled%s%s\n"
+           "live migration: %d slot(s) — %d faulted in, %d backfilled, %d \
+            row(s) translated%s%s\n"
            m.Migrate.total_slots m.Migrate.faulted m.Migrate.backfilled
+           m.Migrate.translated_rows
            (match m.Migrate.mig_warnings with
            | [] -> ""
            | ws -> Printf.sprintf ", %d warning(s)" (List.length ws))

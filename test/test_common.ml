@@ -71,6 +71,30 @@ let value_props =
     QCheck.Test.make ~name:"hash respects equal" ~count:300
       (QCheck.pair value_arb value_arb) (fun (a, b) ->
         if Value.equal a b then Value.hash a = Value.hash b else true);
+    (* [show] renders without a formatter; it must stay byte-identical
+       to the pretty-printer over every constructor, edge values
+       included. *)
+    QCheck.Test.make ~name:"Value.show agrees with Value.pp" ~count:1000
+      (QCheck.make ~print:Value.show
+         QCheck.Gen.(
+           oneof
+             [ value_gen;
+               oneofl
+                 [ Value.Float Float.nan; Value.Float Float.infinity;
+                   Value.Float Float.neg_infinity; Value.Float (-0.);
+                   Value.Float 0.; Value.Float 1e-300; Value.Float 1e300;
+                   Value.Float 0.1; Value.Float 123456789.;
+                   Value.Int max_int; Value.Int min_int;
+                   Value.Str ""; Value.Str "say \"hi\"";
+                   Value.Str "back\\slash"; Value.Str "line\nbreak\ttab\r";
+                   Value.Str "\x00\x7f\x80\xc3\xa9\xff";
+                   Value.Bool true; Value.Bool false; Value.Null;
+                 ];
+               map (fun i -> Value.Int i) int;
+               map (fun f -> Value.Float f) float;
+               map (fun s -> Value.Str s) (string_size (int_bound 40));
+             ]))
+      (fun v -> Value.show v = Fmt.str "%a" Value.pp v);
   ]
 
 (* ---------------- Row ---------------- *)

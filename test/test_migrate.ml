@@ -7,6 +7,7 @@
    source-only serving instead of erroring the run. *)
 
 open Ccv_common
+open Ccv_model
 open Ccv_transform
 open Ccv_convert
 open Ccv_migrate
@@ -348,6 +349,109 @@ let deep_navigation_refused_at_admission () =
           check "refusal warning names the access path" true
             (List.exists (contains ~affix:"DIV-EMP") m.Migrate.mig_warnings))
 
+(* ------------------------------------------------------------------ *)
+(* (g) slot order: a permutation of the snapshot in load-order entity
+   blocks, each owner's members contiguous, deterministic; and a full
+   drain at any batch size fingerprints equal to bulk translation      *)
+
+let start_exn ?(config = Migrate.default_config) req sdb =
+  match Migrate.start ~config ~shard_id:0 req sdb with
+  | Ok (m, _) -> m
+  | Error (stage, reason) -> Alcotest.failf "start: %s: %s" stage reason
+
+let record_id schema (ename, row) =
+  let e = Semantic.find_entity_exn schema ename in
+  (Field.canon ename, List.map Value.show (Sdb.key_of e row))
+
+let slot_order_groups_owners () =
+  let sample = W.Company.scaled ~seed:42 ~n:600 in
+  let schema = Sdb.schema sample in
+  let req = net_req [ interpose_op ] in
+  let order = Migrate.slot_order (start_exn req sample) in
+  let ids = List.map (record_id schema) order in
+  let snapshot_ids =
+    List.concat_map
+      (fun (e : Semantic.entity) ->
+        List.map
+          (fun row -> record_id schema (e.ename, row))
+          (Sdb.rows_silent sample e.ename))
+      schema.Semantic.entities
+  in
+  check "slots are a permutation of the snapshot's records" true
+    (List.sort compare ids = List.sort compare snapshot_ids);
+  let rec runs = function
+    | a :: (b :: _ as rest) when a = b -> runs rest
+    | a :: rest -> a :: runs rest
+    | [] -> []
+  in
+  check "entity blocks follow Mapping.load_order" true
+    (runs (List.map fst ids)
+    = List.map
+        (fun (e : Semantic.entity) -> Field.canon e.ename)
+        (Mapping.load_order schema));
+  let owner = Hashtbl.create 1024 in
+  List.iter
+    (fun (l : Sdb.link) ->
+      Hashtbl.replace owner
+        (List.map Value.show l.Sdb.rkey)
+        (List.map Value.show l.Sdb.lkey))
+    (Sdb.links_silent sample W.Company.div_emp);
+  let div = Field.canon W.Company.div and emp = Field.canon W.Company.emp in
+  let owners =
+    runs
+      (List.filter_map
+         (fun (en, key) -> if en = emp then Hashtbl.find_opt owner key else None)
+         ids)
+  in
+  check "each owner's members are contiguous" true
+    (List.length owners = List.length (List.sort_uniq compare owners));
+  check "owner groups follow their owners' slot order" true
+    (owners
+    = List.filter
+        (fun d -> List.mem d owners)
+        (List.filter_map
+           (fun (en, key) -> if en = div then Some key else None)
+           ids));
+  check "two starts give the same order" true
+    (List.map (record_id schema) (Migrate.slot_order (start_exn req sample))
+    = ids)
+
+let drain_matches_bulk () =
+  let sample = W.Company.scaled ~seed:42 ~n:600 in
+  List.iter
+    (fun (model, name) ->
+      let req =
+        { Supervisor.source_schema = W.Company.schema;
+          source_model = Mapping.Net;
+          ops = [ interpose_op ];
+          target_model = model;
+        }
+      in
+      let bulk =
+        match Supervisor.prepare_serving req sample with
+        | Error (stage, reason) ->
+            Alcotest.failf "%s: prepare_serving: %s: %s" name stage reason
+        | Ok sv -> Migrate.fingerprint_target req sv.Supervisor.target_db
+      in
+      List.iter
+        (fun batch ->
+          let m = start_exn req sample in
+          let total = Migrate.total m in
+          let batch = Option.value batch ~default:total in
+          let to_ = ref 0 in
+          while !to_ < total do
+            to_ := min total (!to_ + batch);
+            Migrate.backfill_to m ~to_:!to_
+          done;
+          let label = Printf.sprintf "%s, batch %d" name batch in
+          check (label ^ ": drain completed") true
+            (Migrate.failed m = None && Migrate.n_done m = total);
+          check (label ^ ": fingerprint equals bulk translation") true
+            (Result.is_ok bulk
+            && Migrate.fingerprint_target req (Migrate.engine_db m) = bulk))
+        [ Some 1; Some 7; Some 48; None ])
+    [ (Mapping.Net, "net"); (Mapping.Rel, "rel"); (Mapping.Hier, "hier") ]
+
 let () =
   Alcotest.run "migrate"
     [ ( "live migration",
@@ -361,5 +465,9 @@ let () =
             live_requires_shadow;
           Alcotest.test_case "deep navigation refused at admission" `Quick
             deep_navigation_refused_at_admission;
+          Alcotest.test_case "slot order groups owners" `Quick
+            slot_order_groups_owners;
+          Alcotest.test_case "drain matches bulk translation" `Slow
+            drain_matches_bulk;
         ] );
     ]
