@@ -1336,10 +1336,41 @@ let plan () =
 
 (* ------------------------------------------------------------------ *)
 (* SCALING: the persistent worker pool — req/s per domain count with
-   the plan cache on and off, parallel replica preparation, and the
-   pool's park time.  [--smoke] mode (the scaling-smoke id) runs a
-   small batch at 2 domains on every CI push and fails loudly when the
-   pool regresses into negative scaling.                               *)
+   the plan cache on and off and under a hot shard, parallel replica
+   preparation, and the pool's park time.  [--smoke] mode (the
+   scaling-smoke id) runs a small batch at 1 and 2 domains on every CI
+   push and fails loudly when the pool regresses into negative scaling
+   or when the served output depends on the domain count.              *)
+
+let percentile_us p lats =
+  match List.sort Float.compare lats with
+  | [] -> 0.
+  | sorted ->
+      let n = List.length sorted in
+      let idx = max 0 (min (n - 1) (int_of_float (ceil (p *. float n)) - 1)) in
+      List.nth sorted idx
+
+(* Open-loop latencies of one run against a fixed arrival schedule:
+   [arrival.(k)] is the intended offset of the stream's [k]-th request
+   from serving start (approximated by the earliest service start the
+   run observed), and each request is charged from its intended arrival
+   (the max of its service latency and completion minus arrival, off
+   the outcome's [done_at] stamp).  A run that stalls the stream pays
+   for the queueing it causes instead of hiding it by arriving late —
+   the coordinated-omission failure a closed-loop histogram suffers. *)
+let open_lats arrival idx_of_id (r : S.Pool.report) =
+  let base =
+    List.fold_left
+      (fun acc (o : S.Shadow.outcome) ->
+        Float.min acc (o.S.Shadow.done_at -. (o.S.Shadow.latency_us /. 1e6)))
+      infinity r.S.Pool.outcomes
+  in
+  List.map
+    (fun (o : S.Shadow.outcome) ->
+      let k = Hashtbl.find idx_of_id o.S.Shadow.request.S.Request.id in
+      Float.max o.S.Shadow.latency_us
+        ((o.S.Shadow.done_at -. base -. arrival.(k)) *. 1e6))
+    r.S.Pool.outcomes
 
 (* Set by the scaling experiment: the measured throughput argmax.  The
    meta row prefers it over [Domain.recommended_domain_count] so the
@@ -1366,7 +1397,27 @@ let scaling ?(smoke = false) () =
   let reqs =
     S.Request.stream ~seed W.Company.schema ~sample ~n ~distinct ()
   in
-  let run_serve ~domains ~use_plan_cache =
+  (* The same traffic with a hot shard: even stream indices land on
+     shard 0, odd ones spread over shards 1..7.  Ids stay unique and
+     strictly increasing, and routing is a pure function of the id, so
+     this is what ~50% of requests on one shard looks like to the
+     pool. *)
+  let skewed =
+    List.mapi
+      (fun i (r : S.Request.t) ->
+        let id =
+          if i mod 2 = 0 then i * nshards
+          else (i * nshards) + 1 + (i / 2 mod (nshards - 1))
+        in
+        { r with S.Request.id = id })
+      reqs
+  in
+  let variants =
+    [ ("cached", reqs, true); ("interpreted", reqs, false);
+      ("skewed", skewed, true);
+    ]
+  in
+  let run_serve ~domains ~use_plan_cache reqs =
     let config =
       { S.Pool.default_config with
         domains; shards = nshards; canary_seed = seed; use_plan_cache;
@@ -1374,16 +1425,41 @@ let scaling ?(smoke = false) () =
     in
     fastest_of_three ~what:"scaling" ~config sample reqs
   in
+  (* what the served traffic looked like: per-request terminal lines
+     plus the controller's transitions *)
+  let fingerprint (r : S.Pool.report) =
+    ( List.map
+        (fun (o : S.Shadow.outcome) ->
+          ( o.S.Shadow.request.S.Request.id,
+            Io_trace.terminal_lines o.S.Shadow.served_trace ))
+        r.S.Pool.outcomes,
+      r.S.Pool.transitions )
+  in
   let rows = ref [] in
   (* throughput per variant, for the recommendation and the smoke gate *)
   let thr_acc : (string * (int * float) list ref) list =
-    List.map (fun v -> (v, ref [])) [ "cached"; "interpreted" ]
+    List.map (fun (v, _, _) -> (v, ref [])) variants
   in
+  (* the skewed runs by domain count, for the open-loop diagnostic *)
+  let skewed_runs = ref [] in
+  let reference = Hashtbl.create 3 in
   List.iter
     (fun d ->
       List.iter
-        (fun (variant, use_plan_cache) ->
-          let r = run_serve ~domains:d ~use_plan_cache in
+        (fun (variant, reqs, use_plan_cache) ->
+          let r = run_serve ~domains:d ~use_plan_cache reqs in
+          (* the 1-domain run comes first and is the reference; the
+             served output must not depend on the domain count *)
+          (match Hashtbl.find_opt reference variant with
+          | None -> Hashtbl.replace reference variant (fingerprint r)
+          | Some fp when fp = fingerprint r -> ()
+          | Some _ ->
+              Printf.eprintf
+                "SCALING DIVERGENCE: %s traffic at %d domains served \
+                 different output or transitions than at 1 domain\n"
+                variant d;
+              exit 1);
+          if variant = "skewed" then skewed_runs := (d, r) :: !skewed_runs;
           let thr = float r.S.Pool.served /. r.S.Pool.wall_s in
           let acc = List.assoc variant thr_acc in
           acc := (d, thr) :: !acc;
@@ -1416,13 +1492,14 @@ let scaling ?(smoke = false) () =
               Tablefmt.float_cell r.S.Pool.pool_idle_s;
             ]
             :: !rows)
-        [ ("cached", true); ("interpreted", false) ])
+        variants)
     domain_counts;
   let cached_thr = !(List.assoc "cached" thr_acc) in
   Tablefmt.print
     ~title:
       (Printf.sprintf
-         "pool serving (%d requests, %d shards; slots = min(domains, shards, \
+         "pool serving (%d requests, %d shards; skewed = the cached stream \
+          with ~50%% of requests on shard 0; slots = min(domains, shards, \
           cores); speedup is per variant vs its own 1-domain run)"
          n nshards)
     ~aligns:
@@ -1432,6 +1509,30 @@ let scaling ?(smoke = false) () =
     [ "variant"; "domains"; "slots"; "served"; "wall ms"; "req/s";
       "speedup vs 1"; "idle s" ]
     (List.rev !rows);
+  (* -- skewed open-loop tail (diagnostic, not gated): every domain
+        count against one arrival schedule at 90% of the 1-domain
+        skewed capacity ------------------------------------------- *)
+  let rate = 0.9 *. List.assoc 1 !(List.assoc "skewed" thr_acc) in
+  let arrival = Array.init (List.length skewed) (fun k -> float k /. rate) in
+  let idx_of_id = Hashtbl.create (List.length skewed) in
+  List.iteri
+    (fun i (r : S.Request.t) -> Hashtbl.replace idx_of_id r.S.Request.id i)
+    skewed;
+  List.iter
+    (fun (d, r) ->
+      let p95 = percentile_us 0.95 (open_lats arrival idx_of_id r) in
+      emit_json
+        [ ("experiment", json_str "scaling");
+          ("variant", json_str "skewed-open-loop");
+          ("domains", string_of_int d);
+          ("arrival_rate_per_s", json_float rate);
+          ("open_p95_us", json_float p95);
+        ];
+      Printf.printf
+        "skewed open-loop p95 at %d domain(s): %8.0f us (arrivals at %.0f \
+         req/s, 90%% of 1-domain capacity; not gated)\n"
+        d p95 rate)
+    (List.rev !skewed_runs);
   (* -- parallel replica preparation: the same pool chunks the bulk
         data translation ([Supervisor.prepare_serving ?pool]) -------- *)
   let big = W.Company.scaled ~seed:42 ~n:(if smoke then 120 else 400) in
@@ -1513,20 +1614,14 @@ let scaling ?(smoke = false) () =
           exit 1
         end)
       thr_acc;
-    Printf.printf "smoke: no negative-scaling regression\n"
+    Printf.printf
+      "smoke: no negative-scaling regression; served output identical at \
+       every domain count\n"
   end
 
 (* ------------------------------------------------------------------ *)
 (* migration: live cutover (lazy translation + backfill + dual-apply)
    vs stop-the-world bulk preparation                                  *)
-
-let percentile_us p lats =
-  match List.sort Float.compare lats with
-  | [] -> 0.
-  | sorted ->
-      let n = List.length sorted in
-      let idx = max 0 (min (n - 1) (int_of_float (ceil (p *. float n)) - 1)) in
-      List.nth sorted idx
 
 let migration ?(smoke = false) () =
   section
@@ -1967,306 +2062,6 @@ let cost_bench ?(gate = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* hotshard: work-stealing epoch scheduler vs static pinning under a
-   hot shard, with coordinated-omission-free open-loop latency.
-
-   Traffic: the generator's uniform stream, and a shard-skewed remap
-   of the same stream that concentrates ~50% of requests on shard 0
-   (routing is a pure function of the id, so remapping ids is what a
-   hot shard looks like to the pool).  Every scheduler serves the
-   exact same request list and the fingerprint gate asserts the served
-   output is bit-identical, so the comparison is pure scheduling.
-
-   Latency is measured open-loop: per (traffic, domains) cell a fixed
-   arrival schedule is derived once from the pinned scheduler's
-   measured capacity and shared by every scheduler, and each request's
-   latency is charged from its *intended* arrival (max of service
-   latency and completion minus arrival, off the {!Shadow.outcome}
-   [done_at] stamp).  A scheduler that stalls the stream therefore
-   pays for the queueing it causes instead of hiding it by arriving
-   late — the coordinated-omission failure a closed-loop
-   service-latency histogram suffers.
-
-   Each cell runs [trials] times per scheduler, the schedulers taking
-   turns within a trial and swapping their order on alternate trials,
-   and reports the median over trials of each metric — one run is not
-   a sample of anything on a shared host.  The stream is long enough
-   that 50 requests lie beyond its p95.  [hotshard-smoke] gates the
-   median skewed 2-domain stealing p95 against pinned and the median
-   uniform stealing throughput against pinned.                         *)
-
-let hotshard ?(smoke = false) () =
-  section
-    (if smoke then
-       "HOTSHARD-SMOKE  stealing vs pinning under a hot shard (2 domains)"
-     else
-       "HOTSHARD  skew-aware work stealing vs static pinning: open-loop \
-        p50/p95/p99, hot shard at ~50%");
-  let seed = 909 in
-  let n = 1000 in
-  let nshards = 8 in
-  let trials = if smoke then 10 else 5 in
-  let domain_counts = if smoke then [ 2 ] else [ 1; 2; 8 ] in
-  (* a scaled instance makes each request's scans heavy enough that
-     scheduling — not per-claim overhead or OS quanta — dominates the
-     completion order the latency gate measures *)
-  let sample = W.Company.scaled ~seed:42 ~n:300 in
-  let uniform =
-    S.Request.stream ~seed W.Company.schema ~sample ~n ~distinct:12 ()
-  in
-  (* Even stream indices land on shard 0, odd ones spread over shards
-     1..7 — ids stay unique and strictly increasing, so the stream is
-     the same traffic with a hot shard. *)
-  let skewed =
-    List.mapi
-      (fun i (r : S.Request.t) ->
-        let id =
-          if i mod 2 = 0 then i * nshards
-          else (i * nshards) + 1 + (i / 2 mod (nshards - 1))
-        in
-        { r with S.Request.id = id })
-      uniform
-  in
-  let run_one ~domains ~steal reqs =
-    let config =
-      { S.Pool.default_config with
-        domains; shards = nshards; canary_seed = seed; use_plan_cache = true;
-        steal; epoch_batch = 6;
-      }
-    in
-    match S.Pool.run ~config ~cutover:pinned interpose_req sample reqs with
-    | Ok r -> r
-    | Error e -> failwith ("hotshard bench: " ^ e)
-  in
-  let scheds = [ ("pinned", false); ("steal", true) ] in
-  (* the served traffic is deterministic per config, so trials differ
-     only in timing; alternating the order keeps whichever scheduler
-     runs first in a trial (colder caches, host drift) from always
-     being the same one *)
-  let runs ~domains reqs =
-    let acc = List.map (fun (sched, _) -> (sched, ref [])) scheds in
-    for t = 0 to trials - 1 do
-      List.iter
-        (fun (sched, steal) ->
-          let r = run_one ~domains ~steal reqs in
-          let l = List.assoc sched acc in
-          l := r :: !l)
-        (if t mod 2 = 0 then scheds else List.rev scheds)
-    done;
-    (* in trial order, so index [t] of every scheduler's list is the
-       same trial *)
-    fun sched -> List.rev !(List.assoc sched acc)
-  in
-  let thr (r : S.Pool.report) = float r.S.Pool.served /. r.S.Pool.wall_s in
-  let median f rs =
-    let a = Array.of_list (List.map f rs) in
-    Array.sort Float.compare a;
-    let k = Array.length a in
-    if k mod 2 = 1 then a.(k / 2) else (a.((k / 2) - 1) +. a.(k / 2)) /. 2.
-  in
-  (* open-loop latencies for one run against a fixed arrival schedule:
-     arrival.(k) is the intended offset of the stream's k-th request
-     from serving start, approximated by the earliest service start
-     the run observed *)
-  let open_lats arrival idx_of_id (r : S.Pool.report) =
-    let base =
-      List.fold_left
-        (fun acc (o : S.Shadow.outcome) ->
-          Float.min acc (o.S.Shadow.done_at -. (o.S.Shadow.latency_us /. 1e6)))
-        infinity r.S.Pool.outcomes
-    in
-    List.map
-      (fun (o : S.Shadow.outcome) ->
-        let k = Hashtbl.find idx_of_id o.S.Shadow.request.S.Request.id in
-        Float.max o.S.Shadow.latency_us
-          ((o.S.Shadow.done_at -. base -. arrival.(k)) *. 1e6))
-      r.S.Pool.outcomes
-  in
-  let fingerprint (r : S.Pool.report) =
-    ( List.map
-        (fun (o : S.Shadow.outcome) ->
-          ( o.S.Shadow.request.S.Request.id,
-            Io_trace.terminal_lines o.S.Shadow.served_trace ))
-        r.S.Pool.outcomes,
-      r.S.Pool.transitions )
-  in
-  let rows = ref [] in
-  (* (traffic, domains, sched) -> (req/s, median p95 us, per-trial p95
-     us) for the smoke gate *)
-  let cells = ref [] in
-  List.iter
-    (fun (traffic, reqs) ->
-      let idx_of_id = Hashtbl.create (List.length reqs) in
-      List.iteri
-        (fun i (r : S.Request.t) ->
-          Hashtbl.replace idx_of_id r.S.Request.id i)
-        reqs;
-      List.iter
-        (fun domains ->
-          let runs_of = runs ~domains reqs in
-          let pinned_runs = runs_of "pinned" in
-          (* the arrival schedule every scheduler is measured against:
-             90% of the pinned scheduler's median capacity *)
-          let rate = 0.9 *. median thr pinned_runs in
-          let arrival = Array.init (List.length reqs) (fun k -> float k /. rate) in
-          let reference = fingerprint (List.hd pinned_runs) in
-          List.iter
-            (fun (sched, _) ->
-              let rs = runs_of sched in
-              if List.exists (fun r -> fingerprint r <> reference) rs then begin
-                Printf.eprintf
-                  "HOTSHARD DIVERGENCE: %s/%s/%d domains served different \
-                   traffic than the pinned scheduler\n"
-                  traffic sched domains;
-                exit 1
-              end;
-              let trial_p q r = percentile_us q (open_lats arrival idx_of_id r) in
-              let p q = median (trial_p q) rs in
-              let p50 = p 0.50 and p95 = p 0.95 and p99 = p 0.99 in
-              let rps = median thr rs in
-              let stolen =
-                List.fold_left
-                  (fun s (r : S.Pool.report) ->
-                    match r.S.Pool.steal_stats with
-                    | None -> s
-                    | Some slots ->
-                        max s
-                          (List.fold_left (fun a x -> a + x.S.Pool.stolen) 0 slots))
-                  0 rs
-              in
-              cells :=
-                ( (traffic, domains, sched),
-                  (rps, p95, List.map (trial_p 0.95) rs) )
-                :: !cells;
-              emit_json
-                [ ("experiment", json_str "hotshard");
-                  ("traffic", json_str traffic);
-                  ("sched", json_str sched);
-                  ("domains", string_of_int domains);
-                  ("served", string_of_int (List.hd rs).S.Pool.served);
-                  ("req_per_s", json_float rps);
-                  ("arrival_rate_per_s", json_float rate);
-                  ("open_p50_us", json_float p50);
-                  ("open_p95_us", json_float p95);
-                  ("open_p99_us", json_float p99);
-                  ("stolen", string_of_int stolen);
-                ];
-              rows :=
-                [ traffic; sched; string_of_int domains;
-                  Tablefmt.float_cell rps; Tablefmt.float_cell p50;
-                  Tablefmt.float_cell p95; Tablefmt.float_cell p99;
-                  string_of_int stolen;
-                ]
-                :: !rows)
-            scheds)
-        domain_counts)
-    [ ("uniform", uniform); ("skewed", skewed) ];
-  Tablefmt.print
-    ~title:
-      (Printf.sprintf
-         "hot-shard serving, %d requests, %d shards (skewed = ~50%% of the \
-          stream on shard 0); open-loop latency against a fixed arrival \
-          schedule at 90%% of pinned capacity; median of %d trials"
-         n nshards trials)
-    ~aligns:
-      [ Tablefmt.Left; Tablefmt.Left; Tablefmt.Right; Tablefmt.Right;
-        Tablefmt.Right; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
-      ]
-    [ "traffic"; "sched"; "domains"; "req/s"; "p50 us"; "p95 us"; "p99 us";
-      "stolen" ]
-    (List.rev !rows);
-  meta_extra :=
-    !meta_extra
-    @ [ ("hotshard_seed", string_of_int seed);
-        ("hotshard_requests", string_of_int n);
-        ("hotshard_trials", string_of_int trials);
-        ("hotshard_shards", string_of_int nshards);
-        ("hotshard_arrival_frac_of_pinned", "0.9");
-        (* translate_slice per-slot cost on this machine BEFORE this
-           PR's key-indexed flattening, at backfill volumes
-           250/1000/3000 — compare against the after row *)
-        ("translate_slice_before_us_per_slot", "[130, 214, 272]");
-        ("translate_slice_after_us_per_slot", "[119, 196, 216]");
-        ("translate_slice_volumes", "[250, 1000, 3000]");
-      ];
-  if smoke then begin
-    let cell traffic sched =
-      List.assoc (traffic, 2, sched) !cells
-    in
-    let s_thr, s_p95, s_trials = cell "skewed" "steal" in
-    let p_thr, p_p95, p_trials = cell "skewed" "pinned" in
-    let u_s_thr, _, _ = cell "uniform" "steal" in
-    let u_p_thr, _, _ = cell "uniform" "pinned" in
-    Printf.printf
-      "smoke skewed  pinned %8.0f req/s p95 %8.0f us | steal %8.0f req/s \
-       p95 %8.0f us (%.2fx; medians of %d trials)\n"
-      p_thr p_p95 s_thr s_p95 (s_p95 /. p_p95) trials;
-    (* Diagnostic only, not gated: the skewed p95 ratio of each trial's
-       steal run over the pinned run of the same trial, and their
-       median — whether pairing within a trial is tighter than the
-       ratio of medians the gate compares. *)
-    let paired = List.map2 ( /. ) s_trials p_trials in
-    Printf.printf
-      "smoke skewed  per-trial p95 steal/pinned: %s (median %.2fx; not gated)\n"
-      (String.concat " " (List.map (Printf.sprintf "%.2f") paired))
-      (median Fun.id paired);
-    Printf.printf
-      "smoke uniform pinned %8.0f req/s | steal %8.0f req/s (%.2fx)\n"
-      u_p_thr u_s_thr (u_s_thr /. u_p_thr);
-    (* The tentpole inequality — stealing must not lose to static
-       pinning on open-loop tail latency under a hot shard — is a
-       statement about load balancing across parallel hardware: on a
-       host with one hardware domain the two pool domains timeshare a
-       single core, so migrating the backlog buys nothing and the
-       strict gate would only measure the OS scheduler.  Enforce it
-       when the hardware can express it (CI runners), and pin the
-       single-core-valid invariants — throughput parity and a
-       pathology bound on the tail — otherwise.  Every figure is a
-       median over trials; 1.10 slack for the noise that remains. *)
-    let cores = Domain.recommended_domain_count () in
-    if cores >= 2 then begin
-      if s_p95 > p_p95 *. 1.10 then begin
-        Printf.eprintf
-          "HOTSHARD REGRESSION: skewed 2-domain stealing p95 (%.0f us) \
-           exceeds pinned p95 (%.0f us) beyond the 1.10 slack\n"
-          s_p95 p_p95;
-        exit 1
-      end
-    end
-    else begin
-      Printf.printf
-        "smoke: single hardware domain — skewed p95 gated at the \
-         pathology bound (1.5x), parity gated on throughput\n";
-      if s_p95 > p_p95 *. 1.5 then begin
-        Printf.eprintf
-          "HOTSHARD REGRESSION: skewed 2-domain stealing p95 (%.0f us) \
-           exceeds pinned p95 (%.0f us) beyond the single-core 1.5x \
-           pathology bound\n"
-          s_p95 p_p95;
-        exit 1
-      end;
-      if s_thr < p_thr *. 0.90 then begin
-        Printf.eprintf
-          "HOTSHARD REGRESSION: skewed 2-domain stealing throughput \
-           (%.0f req/s) fell below 0.90x pinned (%.0f req/s)\n"
-          s_thr p_thr;
-        exit 1
-      end
-    end;
-    (* and stealing must be free when there is nothing to steal *)
-    if u_s_thr < u_p_thr *. 0.95 then begin
-      Printf.eprintf
-        "HOTSHARD REGRESSION: uniform 2-domain stealing throughput \
-         (%.0f req/s) fell below 0.95x pinned (%.0f req/s)\n"
-        u_s_thr u_p_thr;
-      exit 1
-    end;
-    Printf.printf
-      "smoke: stealing holds the skewed tail gate and the uniform \
-       throughput gate\n"
-  end
-
-(* ------------------------------------------------------------------ *)
 
 let all =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
@@ -2280,8 +2075,6 @@ let all =
     ("drain-smoke", (fun () -> drain ~smoke:true ()));
     ("cost", (fun () -> cost_bench ()));
     ("cost-smoke", (fun () -> cost_bench ~gate:true ()));
-    ("hotshard", (fun () -> hotshard ()));
-    ("hotshard-smoke", (fun () -> hotshard ~smoke:true ()));
   ]
 
 let () =

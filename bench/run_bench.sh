@@ -4,12 +4,11 @@
 # differential property suite), then write BENCH_PR1.json (index
 # micro-bench), BENCH_PR2.json (phased-coexistence service),
 # BENCH_PR4.json (compiled plans + plan cache), BENCH_PR6.json
-# (worker-pool scaling by domain count, plan cache on and off),
+# (worker-pool scaling by domain count: plan cache on and off, and a
+# hot-shard stream),
 # BENCH_PR7.json (live migration vs stop-the-world preparation),
-# BENCH_PR9.json (cost-based plan selection + backfill drain) and
-# BENCH_PR10.json (work-stealing vs pinned claims under a hot shard,
-# one whole epoch row per claim, open-loop latency, median of trials)
-# at the repository root.
+# and BENCH_PR9.json (cost-based plan selection + backfill drain) at
+# the repository root.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,4 +20,3 @@ dune exec bench/main.exe -- plan --json --out BENCH_PR4.json
 dune exec bench/main.exe -- scaling --json --out BENCH_PR6.json
 dune exec bench/main.exe -- migration --json --out BENCH_PR7.json
 dune exec bench/main.exe -- cost drain --json --out BENCH_PR9.json
-dune exec bench/main.exe -- hotshard --json --out BENCH_PR10.json

@@ -339,7 +339,7 @@ let analyze_run schema program ops_raw cap corpus seed json explain =
 (* serve: drive a workload through the phased-coexistence service      *)
 
 let serve_run ops_raw requests domains shards seed canary window min_obs
-    threshold promote strict no_plan_cache fail_request epoch_batch steal
+    threshold promote strict no_plan_cache fail_request epoch_batch
     live_migration backfill_batch backfill_lag skew cost_based stats_every
     drift_threshold explain =
   let module S = Ccv_serve in
@@ -403,7 +403,6 @@ let serve_run ops_raw requests domains shards seed canary window min_obs
       use_plan_cache = not no_plan_cache;
       fail_request;
       epoch_batch;
-      steal;
       live_migration;
       backfill_batch;
       backfill_lag;
@@ -582,16 +581,6 @@ let serve_cmd =
       & info [ "epoch-batch" ] ~docv:"B"
           ~doc:"requests per shard per epoch row")
   in
-  let steal =
-    Arg.(
-      value & opt bool true
-      & info [ "steal" ] ~docv:"BOOL"
-          ~doc:"claim policy: an idle worker with an empty deque steals \
-                another worker's shard token and runs its next ready row \
-                (default); $(b,false) pins shard s to worker s mod \
-                slots, where slots = min(domains, shards, cores).  Served \
-                output is bit-identical either way")
-  in
   let live_migration =
     Arg.(
       value & flag
@@ -661,7 +650,7 @@ let serve_cmd =
     Term.(
       const serve_run $ ops_arg $ requests $ domains $ shards $ seed
       $ canary $ window $ min_obs $ threshold $ promote $ strict
-      $ no_plan_cache $ fail_request $ epoch_batch $ steal $ live_migration
+      $ no_plan_cache $ fail_request $ epoch_batch $ live_migration
       $ backfill_batch $ backfill_lag $ skew $ cost_based $ stats_every
       $ drift_threshold $ explain)
 

@@ -39,8 +39,6 @@ type t = {
   mutable stop : bool;
   mutable busy : bool;  (* a step is in flight (owner-domain only) *)
   idle_s : float array;  (* per-worker park time, written by that worker *)
-  ext_idle_s : float array;  (* caller-charged idle inside a job (no work found) *)
-  steal_wait_s : float array;  (* caller-charged time spent probing for steals *)
   async_failures : exn option array;  (* stashed by submit jobs, raised at drain *)
   clock : unit -> float;
   owner : Domain.id;
@@ -89,8 +87,6 @@ let create ?(clock = Unix.gettimeofday) n =
       stop = false;
       busy = false;
       idle_s = Array.make n 0.;
-      ext_idle_s = Array.make n 0.;
-      steal_wait_s = Array.make n 0.;
       async_failures = Array.make n None;
       clock;
       owner = Domain.self ();
@@ -112,23 +108,7 @@ let shutdown t =
     Array.iter Domain.join t.workers
   end
 
-let idle_time t = Array.fold_left ( +. ) 0. t.idle_s
 let idle_times t = Array.copy t.idle_s
-
-(* Charged accounting for long-running submitted jobs.  The park-time
-   counters above only see time spent on the condition variable between
-   barrier steps; a submit-mode job that spins looking for work never
-   parks, so the job itself charges its empty-handed time here.  Each
-   slot's cells are written only by the domain running that slot's job,
-   so plain float adds are safe; readers look after [drain]. *)
-let charge_idle t ~slot s = t.ext_idle_s.(slot) <- t.ext_idle_s.(slot) +. s
-let charge_steal_wait t ~slot s =
-  t.steal_wait_s.(slot) <- t.steal_wait_s.(slot) +. s
-
-let charged_idle_times t =
-  Array.init t.n (fun i -> t.idle_s.(i) +. t.ext_idle_s.(i))
-
-let steal_wait_times t = Array.copy t.steal_wait_s
 
 (* Inline fallback: pools are barrier-stepped from exactly one
    coordinating domain.  A step issued from anywhere else — a worker

@@ -29,7 +29,7 @@ exception Worker_error of { worker : int; error : exn }
 (** [create n] spawns [n - 1] worker domains (clamped to at least one
     slot; [n = 1] is a degenerate pool that runs everything inline).
     [clock] (default [Unix.gettimeofday]) feeds the park-time
-    accounting read back by {!idle_time}. *)
+    accounting read back by {!idle_times}. *)
 val create : ?clock:(unit -> float) -> int -> t
 
 (** Worker slots, including the coordinator's slot 0. *)
@@ -78,36 +78,12 @@ val quiescent : t -> bool
 (** Join all submitted jobs; raises {!Worker_error} if any failed. *)
 val drain : t -> unit
 
-(** Total seconds workers have spent parked on the condition variable
-    between steps and submitted jobs (excludes the coordinator).  A
-    submitted job that loops hunting for work never parks, so for the
-    serving scheduler read {!charged_idle_times} instead. *)
-val idle_time : t -> float
-
-(** Per-slot park seconds (slot 0, the coordinator, is always 0) —
-    the skew between slots is the load-imbalance signal the bench
-    reports per worker. *)
+(** Per-slot seconds workers have spent parked on the condition
+    variable between steps and submitted jobs (slot 0, the coordinator,
+    is always 0).  A submitted job that loops hunting for work never
+    parks; such a job accounts for its own empty-handed time, as the
+    serving scheduler does. *)
 val idle_times : t -> float array
-
-(** {2 Charged accounting}
-
-    Park time only measures waits on the barrier condition variable.  A
-    submit-mode job that loops hunting for work never parks, so it
-    reports its own empty-handed time through these: [charge_idle] for
-    time with genuinely nothing to run anywhere, [charge_steal_wait]
-    for time spent probing other slots' queues before work was found.
-    Each slot must only be charged by the domain running that slot's
-    job; read the totals after {!drain}. *)
-
-val charge_idle : t -> slot:int -> float -> unit
-val charge_steal_wait : t -> slot:int -> float -> unit
-
-(** Per-slot park seconds plus charged idle — the true "had nothing to
-    do" figure for submit-mode jobs ({!idle_times} stays park-only). *)
-val charged_idle_times : t -> float array
-
-(** Per-slot charged steal-probe seconds. *)
-val steal_wait_times : t -> float array
 
 (** Stop and join every worker.  Idempotent; the pool must not be
     stepped afterwards. *)

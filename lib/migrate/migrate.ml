@@ -56,6 +56,26 @@ type summary = {
   mig_failed : string option;
 }
 
+let sum_summaries l =
+  List.fold_left
+    (fun a s ->
+      { total_slots = a.total_slots + s.total_slots;
+        faulted = a.faulted + s.faulted;
+        backfilled = a.backfilled + s.backfilled;
+        translated_rows = a.translated_rows + s.translated_rows;
+        mig_warnings = a.mig_warnings @ s.mig_warnings;
+        mig_failed =
+          (if a.mig_failed = None then s.mig_failed else a.mig_failed);
+      })
+    { total_slots = 0;
+      faulted = 0;
+      backfilled = 0;
+      translated_rows = 0;
+      mig_warnings = [];
+      mig_failed = None;
+    }
+    l
+
 let key_repr key = String.concat "|" (List.map Value.show key)
 
 (* ------------------------------------------------------------------ *)

@@ -69,6 +69,11 @@ type summary = {
   mig_failed : string option;  (** why migration stopped, if it did *)
 }
 
+(** Pool-wide tallies from per-shard summaries: counts add, warnings
+    concatenate in list order, and the first failure wins.  [[]] gives
+    all zeros. *)
+val sum_summaries : summary list -> summary
+
 (** [start ~shard_id req sdb] — snapshot [sdb], derive the target
     schema, build the empty target replica, the snapshot's partner
     index and the pending set.  No data is translated yet.

@@ -9,7 +9,6 @@ type config = {
   use_plan_cache : bool;
   fail_request : int option;
   epoch_batch : int;
-  steal : bool;
   live_migration : bool;
   backfill_batch : int;
   backfill_lag : int;
@@ -28,7 +27,6 @@ let default_config =
     use_plan_cache = true;
     fail_request = None;
     epoch_batch = 16;
-    steal = true;
     live_migration = false;
     backfill_batch = 64;
     backfill_lag = 1;
@@ -211,7 +209,7 @@ let divergence_of ~epoch (o : Shadow.outcome) detail =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The scheduler: barrier-free serving over published snapshots.
+(* Serving: barrier-free epoch rows over a reorder buffer.
 
    Each shard's slice of the stream is chunked into epoch rows of
    [epoch_batch] requests.  A shard's rows execute strictly in epoch
@@ -234,24 +232,10 @@ let divergence_of ~epoch (o : Shadow.outcome) detail =
    so fixing it keeps them a function of the stream, the seed, the
    shard count and [epoch_batch] alone.
 
-   Who runs which row is decided by tokens: a token is a shard cursor
-   in one of the per-slot deques of a {!Ccv_common.Stealqueue}, and
-   shard [s] starts on slot [s mod slots].  Every slot, the coordinator
-   included, loops claiming a token, running its shard's next ready
-   row and requeuing it.  The claim policy is the one difference
-   between the two schedules: stealing claims the slot's own deque
-   first and then another slot's, so a hot shard's rows migrate to
-   whoever has cycles; pinned claims the slot's own deque only, so a
-   shard stays on its home slot.
-
-   [halt_at] stops the pipeline early (abort or fault): rows at or
-   beyond it are never run.  A token retires — decrementing [pending]
-   — in the claim that runs its last row or finds its next row
-   past the fence.  Workers claim until [pending] reaches zero, and the
-   coordinator zeroes it once it has consumed everything it will
-   consume: that releases workers waiting on tokens nobody will run
-   (after an abort, a pinned coordinator's own), and means no worker
-   leaves while a row it could still run is unpublished. *)
+   Which slot runs which row is {!Sched}'s business; this function
+   says what running a row means.  [halt_at] stops the pipeline early
+   (abort or fault): rows at or beyond it are never run, and a shard
+   whose next row lies past it retires. *)
 
 (* A finished row carries its outcomes plus the owning shard's
    migration-failure message, if any: shard state belongs to the
@@ -261,17 +245,10 @@ type epoch_payload =
   | Done of Shadow.outcome list * string option
   | Failed of fault
 
-(* A shard cursor: holding the token is the exclusive right to run
-   shard [ts]'s next pending row.  Exclusivity travels through the
-   steal queue, so the mutable field needs no lock — only the current
-   holder touches it, and the queue's CAS orders each handoff. *)
-type token = { ts : int; mutable trow : int }
-
 (* Rows the phase plan is published ahead of the controller. *)
 let lag = 2
 
 let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
-  let nslots = Workpool.size pool in
   let ebatch = max 1 config.epoch_batch in
   let shard_rows =
     Array.map
@@ -288,10 +265,6 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
     Atomic.set plan.(e) (Some (Cutover.phase ctl, true))
   done;
   let halt_at = Atomic.make max_int in
-  (* per-slot activity; each cell is written only by the domain running
-     that slot and read after the drain *)
-  let rows_run = Array.make nslots 0 in
-  let stolen = Array.make nslots 0 in
   (* Run row [(s, e)]; [seq] is the request's rank within the row. *)
   let exec_row ~phase ~migration_ok s e =
     let rec go seq acc = function
@@ -403,174 +376,53 @@ let serve ~config ~pool ~shards ~ctl ~metrics ~nshards requests =
     !error <> None || Epoch.frontier buf >= total
     || Atomic.get halt_at <= Epoch.frontier buf
   in
-  (* Tokens: one per shard with rows, on its home slot. *)
-  let q = Stealqueue.create ~slots:nslots in
-  let pending = Atomic.make 0 in
-  Array.iteri
-    (fun s n ->
-      if n > 0 then begin
-        Atomic.incr pending;
-        Stealqueue.push q ~slot:(s mod nslots) { ts = s; trow = 0 }
-      end)
-    rows;
-  let claim ~slot =
-    if config.steal then Stealqueue.claim q ~slot
-    else
-      match Stealqueue.pop q ~slot with
-      | Some tok -> Stealqueue.Own tok
-      | None -> Stealqueue.Empty
-  in
-  (* Complete shard [tok.ts]'s remaining rows with [Failed f],
-     starting at the cursor, and park the cursor at the end: rows
+  (* Complete shard [s]'s rows from [e] on with [Failed f]: rows
      behind a dead shard must not stall the canonical order. *)
-  let fault_fill tok f =
-    for e = tok.trow to rows.(tok.ts) - 1 do
-      Epoch.publish buf ~shard:tok.ts ~epoch:e (Failed f)
-    done;
-    tok.trow <- rows.(tok.ts)
+  let fault_fill s e f =
+    for e = e to rows.(s) - 1 do
+      Epoch.publish buf ~shard:s ~epoch:e (Failed f)
+    done
   in
-  (* Run the token's next row once its phase is published.  [`Retire]
-     when the token has nothing left to run: its last row just ran, a
-     fault filled its remaining rows, or its next row lies past the
-     halt fence and will never be consumed. *)
-  let run_token ~slot tok =
-    let s = tok.ts in
-    let e = tok.trow in
+  (* Run shard [s]'s row [e] once its phase is published.  [`Retire]
+     when the row lies past the halt fence and will never be consumed;
+     a fault fills the shard's remaining rows and moves its cursor past
+     them. *)
+  let run_row ~shard:s ~row:e =
     if Atomic.get halt_at <= e then `Retire
     else
       match Atomic.get plan.(e) with
       | None -> `Blocked
-      | Some (phase, mok) ->
+      | Some (phase, mok) -> (
           if config.live_migration && mok then
             backfill_shard ~config ~shards s ~rows:rows.(s) ~row:e;
-          rows_run.(slot) <- rows_run.(slot) + 1;
-          (match exec_row ~phase ~migration_ok:mok s e with
-          | Failed f -> fault_fill tok f
+          match exec_row ~phase ~migration_ok:mok s e with
+          | Failed f ->
+              fault_fill s e f;
+              `Ran rows.(s)
           | Done _ as p ->
               Epoch.publish buf ~shard:s ~epoch:e p;
-              tok.trow <- e + 1);
-          if tok.trow >= rows.(s) then `Retire else `Ran
+              `Ran (e + 1))
   in
-  (* One claim-and-run: [`Ran] when a row ran or a token retired,
-     [`Blocked] when the claimed token waits on an unpublished phase
-     cell, [`Empty] when there was nothing to claim.  Time spent
-     claiming that comes up empty or steals is charged as steal-wait,
-     not idle. *)
-  let run_claim ~slot =
-    let t0 = clock () in
-    match claim ~slot with
-    | Stealqueue.Empty ->
-        Workpool.charge_steal_wait pool ~slot (clock () -. t0);
-        `Empty
-    | (Stealqueue.Own tok | Stealqueue.Stolen tok) as c -> (
-        (match c with
-        | Stealqueue.Stolen _ ->
-            stolen.(slot) <- stolen.(slot) + 1;
-            Workpool.charge_steal_wait pool ~slot (clock () -. t0)
-        | _ -> ());
-        match
-          try run_token ~slot tok
-          with ex ->
-            (* a scheduler-side failure (request faults are caught in
-               [exec_row]) must still complete the shard's rows or the
-               canonical order stalls; best-effort fill, then retire —
-               rows that stay unpublished anyway are caught by the
-               coordinator's quiescence sweep *)
-            let f =
-              { at_shard = tok.ts;
-                at_request = -1;
-                fault_detail = "scheduler: " ^ Printexc.to_string ex;
-              }
-            in
-            (try fault_fill tok f with _ -> ());
-            `Retire
-        with
-        | `Ran ->
-            (* requeue at the tail: tokens cycle round-robin, so every
-               shard keeps pace with the arrival schedule — re-pushing
-               at the head would grind one shard to its lag fence while
-               the others' requests age (bursty completions, fat
-               open-loop tail) *)
-            Stealqueue.push_back q ~slot tok;
-            `Ran
-        | `Blocked ->
-            (* park at the tail: the owner cycles past it, a thief
-               finds it first *)
-            Stealqueue.push_back q ~slot tok;
-            `Blocked
-        | `Retire ->
-            Atomic.decr pending;
-            `Ran)
+  (* a scheduler-side failure (request faults are caught in
+     [exec_row]) must still complete the shard's rows; best-effort
+     fill — rows that stay unpublished anyway are caught by the
+     coordinator's quiescence sweep *)
+  let on_crash ~shard ~row ex =
+    fault_fill shard row
+      { at_shard = shard;
+        at_request = -1;
+        fault_detail = "scheduler: " ^ Printexc.to_string ex;
+      }
   in
-  (* A worker cannot leave while tokens are live (a hot shard may
-     still need it), so while empty-handed it backs off exponentially
-     instead of waking every few microseconds.  Holding a blocked token
-     is different: its row runs as soon as the coordinator publishes
-     the phase cell, and under pinning nobody else will run it, so that
-     slot keeps napping at the short interval. *)
-  let worker w =
-    let spins = ref 0 in
-    let nap = ref 50e-6 in
-    while Atomic.get pending > 0 do
-      match run_claim ~slot:w with
-      | `Ran ->
-          spins := 0;
-          nap := 50e-6
-      | (`Blocked | `Empty) when !spins < 200 ->
-          incr spins;
-          Domain.cpu_relax ()
-      | (`Blocked | `Empty) as c ->
-          let t0 = clock () in
-          if c = `Blocked then Unix.sleepf 50e-6
-          else begin
-            Unix.sleepf !nap;
-            nap := Float.min (2. *. !nap) 2e-3
-          end;
-          Workpool.charge_idle pool ~slot:w (clock () -. t0)
-    done
+  let slots =
+    Sched.run pool ~clock ~rows ~run_row ~on_crash
+      ~consume:(fun () -> pop_rows false)
+      ~finished
   in
-  (* The coordinator claims like any other slot.  One claim per pass:
-     it must come back to consuming (and the plan-cell publication
-     consuming drives) after every row, or workers block on
-     unpublished phase cells while it grinds through a burst. *)
-  let coordinate () =
-    let spins = ref 0 in
-    while not (finished ()) do
-      let progress = run_claim ~slot:0 = `Ran in
-      let progress = pop_rows false || progress in
-      if progress || finished () then spins := 0
-      else if nslots > 1 && Workpool.quiescent pool then begin
-        (* workers leave only once every token retired, so whatever
-           they published is final — one last sweep, then anything
-           still missing means a job died ([drain] raises for a crash) *)
-        Workpool.drain pool;
-        ignore (pop_rows false);
-        if not (finished ()) then
-          failwith
-            "epoch serving: workers exited without completing their rows"
-      end
-      else if !spins < 200 then begin
-        incr spins;
-        Domain.cpu_relax ()
-      end
-      else begin
-        let t0 = clock () in
-        Unix.sleepf 50e-6;
-        Workpool.charge_idle pool ~slot:0 (clock () -. t0)
-      end
-    done
-  in
-  if nslots > 1 then Workpool.submit pool worker;
-  Fun.protect ~finally:(fun () -> Atomic.set pending 0) coordinate;
-  if nslots > 1 then Workpool.drain pool;
   match !error with
   | Some f -> Error f
   | None ->
       let outcomes = List.rev !outcomes_rev in
-      let slots =
-        List.init nslots (fun i ->
-            { rows_run = rows_run.(i); stolen = stolen.(i) })
-      in
       Ok
         ( outcomes,
           List.rev !div_rev,
@@ -632,10 +484,15 @@ let run ?(config = default_config) ~cutover req sdb requests =
                 Ccv_plan.Plan_cache.add_stats acc (Shard.plan_stats s))
               Ccv_plan.Plan_cache.zero_stats shards
           in
-          (* idle = pool park time plus what each slot charged itself
-             while nothing was runnable; steal-probe time is reported
+          (* idle = pool park time plus the scheduler's naps while
+             nothing was runnable; steal-probe time is reported
              separately, it is not idleness *)
-          let worker_idle_s = Array.to_list (Workpool.charged_idle_times pool) in
+          let worker_idle_s =
+            Array.to_list
+              (Array.map2
+                 (fun park (st : Sched.slot_stats) -> park +. st.Sched.idle_s)
+                 (Workpool.idle_times pool) slots)
+          in
           (* Serving-time index advice: re-run the plan-layer scan
              advisor under the statistics current plans are costed
              under (rebased on drift), once per distinct program — the
@@ -675,35 +532,10 @@ let run ?(config = default_config) ~cutover req sdb requests =
             if not config.live_migration then None
             else
               Some
-                (Array.fold_left
-                   (fun acc sh ->
-                     match Shard.migration sh with
-                     | None -> acc
-                     | Some m ->
-                         let s = Migrate.summary m in
-                         { Migrate.total_slots =
-                             acc.Migrate.total_slots + s.Migrate.total_slots;
-                           faulted = acc.Migrate.faulted + s.Migrate.faulted;
-                           backfilled =
-                             acc.Migrate.backfilled + s.Migrate.backfilled;
-                           translated_rows =
-                             acc.Migrate.translated_rows
-                             + s.Migrate.translated_rows;
-                           mig_warnings =
-                             acc.Migrate.mig_warnings @ s.Migrate.mig_warnings;
-                           mig_failed =
-                             (match acc.Migrate.mig_failed with
-                             | Some _ as f -> f
-                             | None -> s.Migrate.mig_failed);
-                         })
-                   { Migrate.total_slots = 0;
-                     faulted = 0;
-                     backfilled = 0;
-                     translated_rows = 0;
-                     mig_warnings = [];
-                     mig_failed = None;
-                   }
-                   shards)
+                (Migrate.sum_summaries
+                   (List.filter_map
+                      (fun sh -> Option.map Migrate.summary (Shard.migration sh))
+                      (Array.to_list shards)))
           in
           let replica_fingerprint =
             if not config.fingerprint_replicas then None
@@ -734,8 +566,18 @@ let run ?(config = default_config) ~cutover req sdb requests =
               domains = ndomains;
               pool_idle_s = List.fold_left ( +. ) 0. worker_idle_s;
               worker_idle_s;
-              steal_wait_s = Array.to_list (Workpool.steal_wait_times pool);
-              steal_stats = Some slots;
+              steal_wait_s =
+                Array.to_list
+                  (Array.map (fun st -> st.Sched.steal_wait_s) slots);
+              steal_stats =
+                Some
+                  (Array.to_list
+                     (Array.map
+                        (fun st ->
+                          { rows_run = st.Sched.rows_run;
+                            stolen = st.Sched.stolen;
+                          })
+                        slots));
               index_advice;
               prepare_s;
               wall_s = clock () -. t0;

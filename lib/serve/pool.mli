@@ -11,16 +11,14 @@
     ahead of the controller.  Nobody waits at a barrier — a
     fast shard runs ahead of a slow one.
 
-    {b Two claim policies.}  Shard cursors circulate as tokens in
-    per-slot deques ({!Ccv_common.Stealqueue}); shard [s] starts on
-    slot [s mod slots], where [slots = min domains shards cores], and
-    every slot — the coordinator included — loops claiming a token and
-    running its shard's next ready row; one claim runs one whole row.
-    With [steal] (the default) a slot claims its own deque first and
-    then steals from the others, so a hot shard's backlog migrates to
-    whoever has cycles.  Pinned ([steal = false]) claims only the
-    slot's own deque, so a shard stays on its home slot — the baseline
-    stealing is measured against.
+    {b Work stealing.}  Who runs which row is {!Sched}'s business:
+    shard cursors circulate as tokens in per-slot deques
+    ({!Ccv_common.Stealqueue}); shard [s] starts on slot [s mod slots],
+    where [slots = min domains shards cores], and every slot — the
+    coordinator included — loops claiming a token, its own deque first
+    and then another slot's, and running its shard's next ready row;
+    one claim runs one whole row, and a hot shard's backlog migrates to
+    whoever has cycles.
 
     {b One slot count.}  The pool has [min domains shards cores] slots
     ({!Domain.recommended_domain_count}); the steal queue and every
@@ -28,10 +26,10 @@
     and [report.domains] is that number.
 
     Phase decisions depend only on the request stream, the seed, the
-    shard count and [epoch_batch] — never on the domain count, the
-    claim policy or physical scheduling — so the same stream under 1
-    domain and under 8, stealing or pinned, yields the same
-    transitions, divergence log and served output, bit for bit.
+    shard count and [epoch_batch] — never on the domain count or
+    physical scheduling — so the same stream under 1 domain and under
+    8 yields the same transitions, divergence log and served output,
+    bit for bit.
 
     Workers touch no shared metrics state per request: each outcome
     carries its access counts, and the coordinator records it into
@@ -64,15 +62,6 @@ type config = {
           instead, exercising the crash-propagation path ([Error] from
           {!run}).  [None] (the default) in production *)
   epoch_batch : int;  (** requests per shard per epoch row *)
-  steal : bool;
-      (** the claim policy: [true] (the default) lets an idle slot —
-          the coordinator included — steal another slot's shard token
-          once its own deque is empty, so a hot shard's backlog
-          migrates to whoever has cycles; [false] pins shard [s] to
-          slot [s mod slots], [slots = min domains shards cores].
-          Results flow through the reorder buffer either way, so
-          outcomes, transitions and divergence logs are bit-identical
-          under both policies at any domain count. *)
   live_migration : bool;
       (** serve while migrating: shards start with an {e empty} target
           replica ({!Shard.create} [~live]) that fills by per-request
@@ -160,7 +149,7 @@ type report = {
           a slot hunting for work is load-shedding, not starved *)
   steal_stats : slot_steal list option;
       (** per-slot scheduler activity, one entry per slot; always
-          [Some] (under the pinned policy every [stolen] is 0) *)
+          [Some] *)
   index_advice : string list;
       (** serving-time {!Ccv_convert.Advisor.index_suggestions} under
           the statistics current plans are costed under (drift-rebased
@@ -182,8 +171,8 @@ type report = {
   replica_fingerprint : string option;
       (** digest over the per-shard canonical target-replica
           fingerprints ({!Ccv_migrate.Migrate.fingerprint_target}), in
-          shard order — equal across claim policies, domain counts and
-          eager/lazy preparation for the same stream; [None] unless
+          shard order — equal across domain counts and eager/lazy
+          preparation for the same stream; [None] unless
           [fingerprint_replicas] *)
 }
 

@@ -46,10 +46,10 @@ let requests ~seed ~n =
   Request.stream ~seed W.Company.schema ~sample:(W.Company.instance ()) ~n ()
 
 let run_service ?(domains = 1) ?(shards = 4) ?(use_plan_cache = true)
-    ?(epoch_batch = 8) ?(steal = true) ~cutover ops reqs =
+    ?(epoch_batch = 8) ~cutover ops reqs =
   let config =
     { Pool.default_config with
-      domains; shards; canary_seed = 7; use_plan_cache; epoch_batch; steal;
+      domains; shards; canary_seed = 7; use_plan_cache; epoch_batch;
     }
   in
   match Pool.run ~config ~cutover (net_req ops) (W.Company.instance ()) reqs with
@@ -248,14 +248,11 @@ let skew_to_shard0 ~shards reqs =
 let steal_report_shape () =
   let reqs = requests ~seed:808 ~n:48 in
   let shards = 6 and epoch_batch = 4 in
-  let stealing =
-    run_service ~domains:2 ~shards ~epoch_batch
-      ~cutover:promoting_cutover [ interpose_op ] reqs
+  let go domains =
+    run_service ~domains ~shards ~epoch_batch ~cutover:promoting_cutover
+      [ interpose_op ] reqs
   in
-  let pinned =
-    run_service ~domains:2 ~shards ~epoch_batch ~steal:false
-      ~cutover:promoting_cutover [ interpose_op ] reqs
-  in
+  let stealing = go 2 and single = go 1 in
   let rows_run (r : Pool.report) =
     match r.Pool.steal_stats with
     | Some slots -> List.fold_left (fun acc s -> acc + s.Pool.rows_run) 0 slots
@@ -265,12 +262,6 @@ let steal_report_shape () =
     (match stealing.Pool.steal_stats with
     | Some slots ->
         List.length slots = stealing.Pool.domains && rows_run stealing > 0
-    | None -> false);
-  check "pinned mode never steals" true
-    (match pinned.Pool.steal_stats with
-    | Some slots ->
-        List.length slots = pinned.Pool.domains
-        && List.for_all (fun s -> s.Pool.stolen = 0) slots
     | None -> false);
   check "steal-wait reported per slot" true
     (List.length stealing.Pool.steal_wait_s = stealing.Pool.domains);
@@ -289,30 +280,9 @@ let steal_report_shape () =
   in
   check "stealing runs every row exactly once" true
     (rows_run stealing = expected_rows);
-  check "pinned runs every row exactly once" true
-    (rows_run pinned = expected_rows);
   check "scheduling is invisible in the served output" true
-    (terminal_output stealing = terminal_output pinned
-    && stealing.Pool.transitions = pinned.Pool.transitions)
-
-let steal_worker_fault_propagates () =
-  let reqs = requests ~seed:606 ~n:40 in
-  let config =
-    { Pool.default_config with
-      domains = 2; shards = 4; canary_seed = 7; fail_request = Some 17;
-      epoch_batch = 8;
-    }
-  in
-  match
-    Pool.run ~config ~cutover:promoting_cutover (net_req [ interpose_op ])
-      (W.Company.instance ()) reqs
-  with
-  | Ok _ -> Alcotest.fail "steal: injected fault did not surface"
-  | Error e ->
-      check "steal: error names the worker failure" true
-        (contains ~affix:"worker failure" e);
-      check "steal: error names the failing request" true
-        (contains ~affix:"request 17" e)
+    (terminal_output stealing = terminal_output single
+    && stealing.Pool.transitions = single.Pool.transitions)
 
 (* Serving-time index advice (the §5.3 feedback loop): a program
    qualifying EMP by a field another entity stores degenerates to an
@@ -398,15 +368,14 @@ let full_fingerprint (r : Pool.report) =
     r.Pool.served,
     Cutover.phase_name r.Pool.final_phase )
 
-(* The tentpole invariant: stealing and the pinned schedule are the
-   same service.  Whatever stream the generator deals — uniform or
-   concentrated on one hot shard — every (scheduler, domain-count)
-   combination yields the same outcomes, transitions and divergence
-   log, field for field. *)
-let steal_pinned_fingerprint_prop =
+(* The scheduler's invariant: whatever stream the generator deals —
+   uniform or concentrated on one hot shard — 1, 2 and 8 domains yield
+   the same outcomes, transitions and divergence log, field for
+   field. *)
+let domain_count_fingerprint_prop =
   QCheck.Test.make
-    ~name:"stealing = pinned = single-domain, uniform and shard-skewed"
-    ~count:6
+    ~name:"fingerprint independent of domain count, uniform and skewed"
+    ~count:8
     QCheck.(pair (int_range 1 10_000) bool)
     (fun (seed, skewed) ->
       let shards = 5 in
@@ -414,50 +383,21 @@ let steal_pinned_fingerprint_prop =
         let r = requests ~seed ~n:32 in
         if skewed then skew_to_shard0 ~shards r else r
       in
-      let go ~domains ~steal =
+      let go domains =
         full_fingerprint
-          (run_service ~domains ~shards ~epoch_batch:4 ~steal
+          (run_service ~domains ~shards ~epoch_batch:4
              ~cutover:rollback_cutover [ restrict_op ] reqs)
       in
-      let reference = go ~domains:1 ~steal:false in
-      List.for_all
-        (fun fp -> fp = reference)
-        [ go ~domains:1 ~steal:true;
-          go ~domains:2 ~steal:true;
-          go ~domains:8 ~steal:true;
-          go ~domains:2 ~steal:false;
-          go ~domains:8 ~steal:false;
-        ])
+      let reference = go 1 in
+      go 2 = reference && go 8 = reference)
 
-(* qcheck over the workload seed: whatever stream the generator deals,
-   epoch serving is domain-count independent. *)
-let epoch_determinism_prop =
-  QCheck.Test.make ~name:"epoch serving deterministic across domain counts"
-    ~count:8
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let go domains =
-        let reqs = requests ~seed ~n:32 in
-        run_service ~domains ~shards:5 ~epoch_batch:4
-          ~cutover:rollback_cutover [ restrict_op ] reqs
-      in
-      let fp (r : Pool.report) =
-        ( terminal_output r,
-          r.Pool.transitions,
-          r.Pool.divergences,
-          r.Pool.served,
-          Cutover.phase_name r.Pool.final_phase )
-      in
-      let a = fp (go 1) and b = fp (go 2) and c = fp (go 8) in
-      a = b && a = c)
-
-(* Pinned claims must terminate as reliably as stealing ones.  A
-   pinned worker that left as soon as its own shards were done let the
-   coordinator's quiescence sweep fire while the coordinator's own rows
-   still waited on a phase cell, and [Pool.run] raised instead of
-   serving.  The race is probabilistic, so sweep many seeds of a
-   skewed stream that rolls the canary back. *)
-let pinned_termination_sweep () =
+(* Serving must terminate on every schedule.  A worker that left as
+   soon as its home shards were done once let the coordinator's
+   quiescence sweep fire while the coordinator's own rows still waited
+   on a phase cell, and [Pool.run] raised instead of serving.  The race
+   is probabilistic, so sweep many seeds of a skewed stream that rolls
+   the canary back and aborts. *)
+let termination_sweep () =
   let shards = 5 in
   let failures = ref [] in
   for seed = 1 to 600 do
@@ -465,7 +405,7 @@ let pinned_termination_sweep () =
     let go domains =
       let config =
         { Pool.default_config with
-          domains; shards; canary_seed = 7; epoch_batch = 4; steal = false;
+          domains; shards; canary_seed = 7; epoch_batch = 4;
         }
       in
       match
@@ -485,7 +425,7 @@ let pinned_termination_sweep () =
       [ 2; 8 ]
   done;
   if !failures <> [] then
-    Alcotest.failf "pinned runs failed or diverged at (seed, domains): %s"
+    Alcotest.failf "runs failed or diverged at (seed, domains): %s"
       (String.concat ", "
          (List.rev_map (fun (s, d) -> Printf.sprintf "(%d, %d)" s d) !failures))
 
@@ -497,27 +437,22 @@ let more_domains_than_cores () =
   let domains = (2 * cores) + 1 in
   let shards = domains in
   let reqs = requests ~seed:515 ~n:(8 * shards) in
-  List.iter
-    (fun steal ->
-      let label = if steal then "stealing" else "pinned" in
-      let go domains =
-        run_service ~domains ~shards ~epoch_batch:4 ~steal
-          ~cutover:rollback_cutover [ restrict_op ] reqs
-      in
-      let one = go 1 and many = go domains in
-      let n = many.Pool.domains in
-      check (label ^ ": one slot per core") true (n = cores);
-      check (label ^ ": idle reported per slot") true
-        (List.length many.Pool.worker_idle_s = n);
-      check (label ^ ": steal-wait reported per slot") true
-        (List.length many.Pool.steal_wait_s = n);
-      check (label ^ ": scheduler stats reported per slot") true
-        (match many.Pool.steal_stats with
-        | Some slots -> List.length slots = n
-        | None -> false);
-      check (label ^ ": outcomes equal the 1-domain run") true
-        (full_fingerprint many = full_fingerprint one))
-    [ true; false ]
+  let go domains =
+    run_service ~domains ~shards ~epoch_batch:4 ~cutover:rollback_cutover
+      [ restrict_op ] reqs
+  in
+  let one = go 1 and many = go domains in
+  let n = many.Pool.domains in
+  check "one slot per core" true (n = cores);
+  check "idle reported per slot" true (List.length many.Pool.worker_idle_s = n);
+  check "steal-wait reported per slot" true
+    (List.length many.Pool.steal_wait_s = n);
+  check "scheduler stats reported per slot" true
+    (match many.Pool.steal_stats with
+    | Some slots -> List.length slots = n
+    | None -> false);
+  check "outcomes equal the 1-domain run" true
+    (full_fingerprint many = full_fingerprint one)
 
 (* ------------------------------------------------------------------ *)
 (* (e) worker crashes surface as Error, not a hang or a corrupt report *)
@@ -525,10 +460,11 @@ let more_domains_than_cores () =
 let worker_fault_propagates () =
   let reqs = requests ~seed:606 ~n:40 in
   List.iter
-    (fun domains ->
+    (fun (domains, epoch_batch) ->
       let config =
         { Pool.default_config with
           domains; shards = 4; canary_seed = 7; fail_request = Some 17;
+          epoch_batch;
         }
       in
       match
@@ -536,15 +472,18 @@ let worker_fault_propagates () =
           (W.Company.instance ()) reqs
       with
       | Ok _ ->
-          Alcotest.failf "epoch, %d domains: injected fault did not surface"
+          Alcotest.failf
+            "batch %d, %d domains: injected fault did not surface" epoch_batch
             domains
       | Error e ->
-          let label = Printf.sprintf "epoch, %d domains" domains in
+          let label =
+            Printf.sprintf "batch %d, %d domains" epoch_batch domains
+          in
           check (label ^ ": error names the worker failure") true
             (contains ~affix:"worker failure" e);
           check (label ^ ": error names the failing request") true
             (contains ~affix:"request 17" e))
-    [ 1; 2; 4 ]
+    [ (1, 16); (2, 16); (4, 16); (2, 8) ]
 
 (* A cutover config the controller cannot hold is a configuration
    error, reported like any other start-up failure rather than raised
@@ -659,19 +598,15 @@ let () =
             plan_cache_transparent;
           Alcotest.test_case "steal scheduler reports per-slot activity" `Quick
             steal_report_shape;
-          Alcotest.test_case "worker fault propagates under steal policy"
-            `Quick steal_worker_fault_propagates;
           Alcotest.test_case "serving-time index advice under live stats"
             `Quick serving_index_advice;
-          Alcotest.test_case "pinned claims terminate (600-seed sweep)" `Quick
-            pinned_termination_sweep;
+          Alcotest.test_case "skewed aborting streams terminate (600 seeds)"
+            `Quick termination_sweep;
           Alcotest.test_case "more domains than cores share one slot count"
             `Quick more_domains_than_cores;
           Alcotest.test_case "zero cutover window is an Error" `Quick
             zero_window_is_error;
         ] );
       ( "epoch-props",
-        [ QCheck_alcotest.to_alcotest epoch_determinism_prop;
-          QCheck_alcotest.to_alcotest steal_pinned_fingerprint_prop;
-        ] );
+        [ QCheck_alcotest.to_alcotest domain_count_fingerprint_prop ] );
     ]
