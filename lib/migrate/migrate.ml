@@ -28,6 +28,7 @@ type t = {
   mutable n_done : int;
   mutable n_faulted : int;  (* slots drained by request fault-in *)
   mutable n_backfilled : int;  (* slots drained by the backfill driver *)
+  mutable n_deferred : int;  (* read-only requests served without fault-in *)
   mutable n_translated : int;  (* rows assembled into translated slices *)
   mutable watermark : int;  (* slots [0, watermark) scanned by backfill *)
   mutable failed : string option;
@@ -51,6 +52,7 @@ type summary = {
   total_slots : int;
   faulted : int;
   backfilled : int;
+  deferred : int;
   translated_rows : int;
   mig_warnings : string list;
   mig_failed : string option;
@@ -62,6 +64,7 @@ let sum_summaries l =
       { total_slots = a.total_slots + s.total_slots;
         faulted = a.faulted + s.faulted;
         backfilled = a.backfilled + s.backfilled;
+        deferred = a.deferred + s.deferred;
         translated_rows = a.translated_rows + s.translated_rows;
         mig_warnings = a.mig_warnings @ s.mig_warnings;
         mig_failed =
@@ -70,6 +73,7 @@ let sum_summaries l =
     { total_slots = 0;
       faulted = 0;
       backfilled = 0;
+      deferred = 0;
       translated_rows = 0;
       mig_warnings = [];
       mig_failed = None;
@@ -179,6 +183,7 @@ let start ?(config = default_config) ~shard_id (req : Supervisor.request) sdb =
           n_done = 0;
           n_faulted = 0;
           n_backfilled = 0;
+          n_deferred = 0;
           n_translated = 0;
           watermark = 0;
           failed = None;
@@ -203,6 +208,7 @@ let summary t =
   { total_slots = total t;
     faulted = t.n_faulted;
     backfilled = t.n_backfilled;
+    deferred = t.n_deferred;
     translated_rows = t.n_translated;
     mig_warnings = List.rev t.warnings;
     mig_failed = t.failed;
@@ -498,7 +504,8 @@ let merge_batch t ~via (batch : int list) =
    record; anything else (scans, traversals, non-key qualifications)
    demands the whole entity, so a request is always fully faulted in
    before it is dual-run — no partial extents behind a shadowed
-   request. *)
+   request.  A read-only request that demands an undrained whole
+   entity is not dual-run at all: see [prepare_request]. *)
 
 type demand = Key of string * Value.t list | All of string
 
@@ -584,19 +591,24 @@ let demands_of_mutation schema = function
 
 module FT = Traverse.Fold (Traverse.Unit_env)
 
+(* The request's demands, and whether it writes (any Insert, Link,
+   Unlink, Update or Delete). *)
 let demands_of_aprog schema (p : Aprog.t) =
   let folder =
     { FT.default with
-      FT.query = (fun _ () acc q -> acc @ demands_of_query schema q);
+      FT.query =
+        (fun _ () (acc, writes) q -> (acc @ demands_of_query schema q, writes));
       FT.stmt =
-        (fun _ () acc s ->
+        (fun self () (acc, _) s ->
           match s with
           | Aprog.Insert _ | Aprog.Link _ | Aprog.Unlink _ ->
-              Some (acc @ demands_of_mutation schema s)
+              Some (acc @ demands_of_mutation schema s, true)
+          | Aprog.Update _ | Aprog.Delete _ ->
+              Some (FT.children self () (acc, true) s)
           | _ -> None);
     }
   in
-  FT.program folder () [] p
+  FT.program folder () ([], false) p
 
 let slots_of_demand t = function
   | Key (ename, key) -> (
@@ -629,18 +641,44 @@ let note_refusal t (d : Diagnostic.t) =
   let line = Fmt.str "admission refused [%s]: %s" d.code d.message in
   if not (List.mem line t.warnings) then t.warnings <- line :: t.warnings
 
+type prepared = Faulted of int | Deferred
+
+let undrained t ename =
+  match Hashtbl.find_opt t.blocks (Field.canon ename) with
+  | None -> false
+  | Some (lo, hi) ->
+      let rec go i = i < hi && ((not t.done_.(i)) || go (i + 1)) in
+      go lo
+
 (* [prepare_request t aprog] — fault in everything the request may
-   touch; returns the number of records translated on demand. *)
+   touch, unless it only reads and scans an entity backfill has not
+   finished: translating that whole extent now would put the drain's
+   cost in front of one response, so the request is deferred instead
+   — served from the source, which is the answer a shadowed request
+   returns anyway, and never judged.  A write always faults in: its
+   dual-apply is sound only on translated records.  Only the shadow
+   phase can see a deferral, because promotion waits for the drain. *)
 let prepare_request t aprog =
-  if t.failed <> None || t.n_done = total t then 0
+  if t.failed <> None || t.n_done = total t then Faulted 0
   else begin
     let schema = Sdb.schema t.snapshot in
-    let slots =
-      List.sort_uniq compare
-        (List.concat_map (slots_of_demand t) (demands_of_aprog schema aprog))
-    in
-    merge_batch t ~via:`Fault slots;
-    List.length slots
+    let demands, writes = demands_of_aprog schema aprog in
+    if
+      (not writes)
+      && List.exists
+           (function All e -> undrained t e | Key _ -> false)
+           demands
+    then begin
+      t.n_deferred <- t.n_deferred + 1;
+      Deferred
+    end
+    else begin
+      let slots =
+        List.sort_uniq compare (List.concat_map (slots_of_demand t) demands)
+      in
+      merge_batch t ~via:`Fault slots;
+      Faulted (List.length slots)
+    end
   end
 
 (* ------------------------------------------------------------------ *)

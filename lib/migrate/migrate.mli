@@ -10,7 +10,9 @@
     - {b fault-in}: {!prepare_request} translates everything a request
       may touch before the request is dual-run, so no request ever
       observes a partially-translated extent — key-equality lookups
-      drain one record, scans drain the whole entity;
+      drain one record; read-only scans of an entity backfill has not
+      finished defer (served by the source alone, unjudged), and only
+      a write's scan drains the whole entity;
     - {b backfill}: {!backfill_to} drains the slots a deterministic
       schedule ({!Backfill.watermark_target}) assigns to each logical
       row, in batches, between serving rows, in an owner-grouped slot
@@ -58,6 +60,9 @@ type summary = {
   total_slots : int;  (** source records subject to migration *)
   faulted : int;  (** slots drained on demand by requests *)
   backfilled : int;  (** slots drained by the backfill driver *)
+  deferred : int;
+      (** read-only requests served by the source alone because they
+          scan an entity with undrained slots; no slot is drained *)
   translated_rows : int;
       (** source rows assembled into translated slices over fault-in
           and backfill — the closure's amplification: divided by the
@@ -124,9 +129,20 @@ val admit : Aprog.t -> (unit, Ccv_common.Diagnostic.t) result
     turned away. *)
 val note_refusal : t -> Ccv_common.Diagnostic.t -> unit
 
-(** Fault in the request's touch set; returns the number of records
-    translated on demand.  No-op once failed. *)
-val prepare_request : t -> Aprog.t -> int
+type prepared =
+  | Faulted of int  (** records translated on demand *)
+  | Deferred
+      (** nothing translated: the request only reads, and it scans a
+          whole entity that still has undrained slots.  The caller
+          serves it by the source alone and does not judge it; it is
+          counted in {!summary}'s [deferred].  Writes never defer,
+          because dual-apply is sound only on translated records, and
+          only the shadow phase can see a deferral, because promotion
+          waits until backfill has drained every slot. *)
+
+(** Fault in the request's touch set, or defer the request.
+    [Faulted 0] once failed or fully drained. *)
+val prepare_request : t -> Aprog.t -> prepared
 
 (** Advance the backfill watermark to [to_] (clamped to [total]),
     draining every still-pending slot below it.  No-op once failed. *)

@@ -630,9 +630,9 @@ let render r =
       Buffer.add_string b
         (Printf.sprintf
            "live migration: %d slot(s) — %d faulted in, %d backfilled, %d \
-            row(s) translated%s%s\n"
+            row(s) translated, %d read(s) deferred%s%s\n"
            m.Migrate.total_slots m.Migrate.faulted m.Migrate.backfilled
-           m.Migrate.translated_rows
+           m.Migrate.translated_rows m.Migrate.deferred
            (match m.Migrate.mig_warnings with
            | [] -> ""
            | ws -> Printf.sprintf ", %d warning(s)" (List.length ws))

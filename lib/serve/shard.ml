@@ -219,7 +219,9 @@ let exec t ~phase ~tolerate_reordering ~canary_seed ?(migration_ok = true)
      cap is refused up front (source-only, counted as refused, the
      offending access path recorded in the migration warnings) instead
      of failing mid-migration.  The fault-in time lands in this
-     request's latency — the cost the migration bench measures.  Once
+     request's latency — the cost the migration bench measures.  A
+     read-only request scanning an entity backfill has not finished is
+     deferred instead: served by the source alone, unjudged.  Once
      migration has failed (here, on another row, or globally via
      [migration_ok = false] from the coordinator's plan), the target
      replica is no longer maintained and the shard serves
@@ -236,10 +238,16 @@ let exec t ~phase ~tolerate_reordering ~canary_seed ?(migration_ok = true)
               `Refused
           | Ok () ->
               Migrate.sync_engine_db m t.target_db;
-              (try ignore (Migrate.prepare_request m request.Request.aprog)
-               with e -> Migrate.mark_failed m (Printexc.to_string e));
+              let prepared =
+                try Migrate.prepare_request m request.Request.aprog
+                with e ->
+                  Migrate.mark_failed m (Printexc.to_string e);
+                  Migrate.Faulted 0
+              in
               t.target_db <- Migrate.engine_db m;
-              if Migrate.failed m = None then `Active else `Inactive
+              if Migrate.failed m = None && prepared <> Migrate.Deferred then
+                `Active
+              else `Inactive
         end
   in
   let phase_name = Cutover.phase_name phase in
@@ -287,8 +295,9 @@ let exec t ~phase ~tolerate_reordering ~canary_seed ?(migration_ok = true)
         ~source_accesses:r.Engines.accesses ~target_accesses:0
   | Pair (run_src, run_tgt) when admission = `Inactive ->
       ignore run_tgt;
-      (* Migration rolled back: the target replica is stale, serve the
-         source engine alone without shadowing. *)
+      (* Migration rolled back (the target replica is stale) or the
+         request was deferred (its extent is not translated yet): serve
+         the source engine alone without shadowing. *)
       let r = run_src () in
       finish ~decision:Shadow.Serve_source ~shadowed:false ~verdict:None
         ~divergent:false ~refused:false ~served_trace:r.Engines.trace

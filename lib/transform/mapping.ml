@@ -397,18 +397,48 @@ let loader_set_hdb loader db =
   | Lhier l -> l.hdb <- db
   | Lrel _ | Lnet _ -> invalid_arg "Mapping.loader_set_hdb: not hierarchical"
 
+(* Semantic keys compared the way the scan loader compared them:
+   [List.compare Value.compare], under which [Int 1] and [Float 1.0]
+   are one key.  A printed [key_repr] would not do as an index key:
+   [Value.show] prints floats with [%g], so distinct floats collide. *)
+module Key_map = Map.Make (struct
+  type t = Value.t list
+
+  let compare = List.compare Value.compare
+end)
+
+(* The inputs grouped by canonical name, each group in input order:
+   [by_name l name] is the concatenation of every list [l] pairs with
+   [name]. *)
+let group_by_name (l : (string * 'a list) list) =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (n, xs) ->
+      let n = Field.canon n in
+      Hashtbl.replace tbl n
+        (xs :: Option.value (Hashtbl.find_opt tbl n) ~default:[]))
+    l;
+  fun name ->
+    match Hashtbl.find_opt tbl (Field.canon name) with
+    | None -> []
+    | Some groups -> List.concat (List.rev groups)
+
 let loader_add ?(strict = false) loader ~rows ~links =
   let warnings = ref [] in
   let warn fmt = Fmt.kstr (fun s -> warnings := s :: !warnings) fmt in
-  let rows_for (e : Semantic.entity) =
-    List.concat_map
-      (fun (en, rs) -> if Field.name_equal en e.ename then rs else [])
-      rows
-  in
-  let links_for (a : Semantic.assoc) =
-    List.concat_map
-      (fun (an, ls) -> if Field.name_equal an a.aname then ls else [])
-      links
+  let rows_by = group_by_name rows and links_by = group_by_name links in
+  let rows_for (e : Semantic.entity) = rows_by e.ename in
+  let links_for (a : Semantic.assoc) = links_by a.aname in
+  (* Each link of [a] under its right key; [keep] picks between two
+     links with equal right keys (the first argument is the one met
+     later in input order). *)
+  let by_right_key ~keep (a : Semantic.assoc) =
+    List.fold_left
+      (fun m (lk : Sdb.link) ->
+        Key_map.update lk.rkey
+          (function None -> Some lk | Some old -> Some (keep lk old))
+          m)
+      Key_map.empty (links_for a)
   in
   (match loader with
   | Lrel l ->
@@ -444,43 +474,45 @@ let loader_add ?(strict = false) loader ~rows ~links =
       in
       (* Seed rows of member entities with the owner-key value so that
          AUTOMATIC BY VALUE selection finds the right occurrence; the
-         owner key comes from the links provided alongside the rows. *)
-      let seed_for (e : Semantic.entity) row =
-        List.fold_left
-          (fun row (a : Semantic.assoc) ->
+         owner key comes from the links provided alongside the rows.
+         When several links name the same member, the last one wins. *)
+      let seeds_for (e : Semantic.entity) =
+        List.filter_map
+          (fun (a : Semantic.assoc) ->
             match assoc_real map a.aname with
             | Assoc_set { member_fields; _ }
               when Field.name_equal a.right e.ename && is_total schema a ->
-                let rkey = Sdb.key_of e row in
-                let owner_key =
-                  List.fold_left
-                    (fun acc (lk : Sdb.link) ->
-                      if List.compare Value.compare lk.rkey rkey = 0 then
-                        Some lk.lkey
-                      else acc)
-                    None (links_for a)
-                in
-                (match owner_key with
-                | Some lkey ->
-                    List.fold_left2
-                      (fun row mfield v ->
-                        if Row.mem row mfield then row else Row.set row mfield v)
-                      row member_fields lkey
-                | None -> row)
+                Some (member_fields, by_right_key ~keep:(fun lk _ -> lk) a)
             | Assoc_set _ | Assoc_relation _ | Assoc_link_record _
-            | Assoc_parent_child | Assoc_link_segment _ -> row)
-          row
+            | Assoc_parent_child | Assoc_link_segment _ -> None)
           (Semantic.assocs_of schema e.ename)
+      in
+      let seed seeds rkey row =
+        List.fold_left
+          (fun row (member_fields, owners) ->
+            match Key_map.find_opt rkey owners with
+            | Some (lk : Sdb.link) ->
+                List.fold_left2
+                  (fun row mfield v ->
+                    if Row.mem row mfield then row else Row.set row mfield v)
+                  row member_fields lk.lkey
+            | None -> row)
+          row seeds
       in
       List.iter
         (fun (e : Semantic.entity) ->
-          List.iter
-            (fun row ->
-              store e.ename (seed_for e row) (fun key ->
-                  Hashtbl.replace l.nindex
-                    (Field.canon e.ename, key_repr (Sdb.key_of e row))
-                    key))
-            (rows_for e))
+          match rows_for e with
+          | [] -> ()
+          | rs ->
+              let seeds = seeds_for e in
+              List.iter
+                (fun row ->
+                  let rkey = Sdb.key_of e row in
+                  store e.ename (seed seeds rkey row) (fun key ->
+                      Hashtbl.replace l.nindex
+                        (Field.canon e.ename, key_repr rkey)
+                        key))
+                rs)
         (load_order schema);
       List.iter
         (fun (a : Semantic.assoc) ->
@@ -550,27 +582,42 @@ let loader_add ?(strict = false) loader ~rows ~links =
       in
       List.iter
         (fun (e : Semantic.entity) ->
-          let parent_assoc = hier_parent_assoc schema e in
-          List.iter
-            (fun row ->
-              let rkey = Sdb.key_of e row in
-              let parent =
-                match parent_assoc with
-                | None -> Some None
-                | Some a -> (
-                    let link =
-                      List.find_opt
-                        (fun (lk : Sdb.link) ->
-                          List.compare Value.compare lk.rkey rkey = 0)
-                        (links_for a)
-                    in
-                    match link with
-                    | Some lk -> (
-                        match
-                          Hashtbl.find_opt l.hindex
-                            (Field.canon a.left, key_repr lk.lkey)
-                        with
-                        | Some p -> Some (Some p)
+          match rows_for e with
+          | [] -> ()
+          | rs ->
+              (* A child's parent link is the first link naming it. *)
+              let parent_link =
+                match hier_parent_assoc schema e with
+                | None -> None
+                | Some a -> Some (a, by_right_key ~keep:(fun _ old -> old) a)
+              in
+              List.iter
+                (fun row ->
+                  let rkey = Sdb.key_of e row in
+                  let parent =
+                    match parent_link with
+                    | None -> Some None
+                    | Some (a, links) -> (
+                        match Key_map.find_opt rkey links with
+                        | Some (lk : Sdb.link) -> (
+                            match
+                              Hashtbl.find_opt l.hindex
+                                (Field.canon a.left, key_repr lk.lkey)
+                            with
+                            | Some p -> Some (Some p)
+                            | None ->
+                                if strict then
+                                  invalid_arg
+                                    (Fmt.str
+                                       "Mapping.load_hier: %s instance has no \
+                                        parent"
+                                       e.ename)
+                                else begin
+                                  warn "load_hier %s: parent %s not loaded \
+                                        (skipped)"
+                                    e.ename (key_repr lk.lkey);
+                                  None
+                                end)
                         | None ->
                             if strict then
                               invalid_arg
@@ -579,31 +626,19 @@ let loader_add ?(strict = false) loader ~rows ~links =
                                     parent"
                                    e.ename)
                             else begin
-                              warn "load_hier %s: parent %s not loaded \
-                                    (skipped)"
-                                e.ename (key_repr lk.lkey);
+                              warn "load_hier %s %s: no parent link (skipped)"
+                                e.ename (key_repr rkey);
                               None
                             end)
-                    | None ->
-                        if strict then
-                          invalid_arg
-                            (Fmt.str
-                               "Mapping.load_hier: %s instance has no parent"
-                               e.ename)
-                        else begin
-                          warn "load_hier %s %s: no parent link (skipped)"
-                            e.ename (key_repr rkey);
-                          None
-                        end)
-              in
-              match parent with
-              | None -> ()
-              | Some parent ->
-                  insert parent e.ename row (fun key ->
-                      Hashtbl.replace l.hindex
-                        (Field.canon e.ename, key_repr rkey)
-                        key))
-            (rows_for e))
+                  in
+                  match parent with
+                  | None -> ()
+                  | Some parent ->
+                      insert parent e.ename row (fun key ->
+                          Hashtbl.replace l.hindex
+                            (Field.canon e.ename, key_repr rkey)
+                            key))
+                rs)
         (load_order schema);
       List.iter
         (fun (a : Semantic.assoc) ->
@@ -630,7 +665,11 @@ let loader_add ?(strict = false) loader ~rows ~links =
                           insert (Some parent) seg row (fun _ -> ())
                       | None ->
                           if strict then
-                            raise Not_found
+                            invalid_arg
+                              (Fmt.str
+                                 "Mapping.load_hier segment %s: parent %s not \
+                                  loaded"
+                                 seg (key_repr lk.lkey))
                           else
                             warn "load_hier segment %s: parent %s not loaded \
                                   (skipped)"

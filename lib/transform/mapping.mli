@@ -94,8 +94,17 @@ val loader_hier : t -> Hschema.t -> loader
     member rows are seeded for BY VALUE set selection from the links
     provided in the same call, so a row's owning link must ride with
     it.  Returns warnings for records or links it could not place
-    (e.g. an endpoint concurrently deleted); with [strict:true] those
-    raise [Invalid_argument] instead, the historical bulk behaviour. *)
+    (e.g. an endpoint concurrently deleted), in input order; with
+    [strict:true] those raise [Invalid_argument] instead, the
+    historical bulk behaviour.
+
+    One call costs O((rows + links) log links) on top of the engine
+    inserts: the inputs are grouped by name once, and each
+    association's links are indexed by right key.  Keys match under
+    [List.compare Value.compare], so a link naming [Int 1] finds the
+    row keyed [Float 1.0].  When several links name the same member,
+    BY VALUE seeding takes the {e last} one and a hierarchical child's
+    parent is the {e first} one. *)
 val loader_add :
   ?strict:bool -> loader ->
   rows:(string * Row.t list) list ->

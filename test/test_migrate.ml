@@ -1,10 +1,12 @@
 (* Live migration: serving starts against an empty target replica that
    fills online by fault-in, backfill and dual-applied writes.  The
-   lazy run must be observationally identical to the eager one — same
-   transitions, same served output, bit-identical final target
-   replicas — at any domain count; the backfill schedule must be
-   monotone; and a backfill fault must roll the controller back to
-   source-only serving instead of erroring the run. *)
+   lazy run must be observationally equivalent to the eager one — the
+   same phases after the same number of judged requests, the same
+   served output modulo order, bit-identical final target replicas —
+   at any domain count; read-only scans of an undrained extent defer
+   instead of faulting it in; the backfill schedule must be monotone;
+   and a backfill fault must roll the controller back to source-only
+   serving instead of erroring the run. *)
 
 open Ccv_common
 open Ccv_model
@@ -86,31 +88,52 @@ let terminal_output (r : Pool.report) =
         Io_trace.terminal_lines o.Shadow.served_trace ))
     r.Pool.outcomes
 
-(* Output of the requests the {e source} engine served.  Target-served
-   output may legitimately reorder records between eager and lazy runs
-   — record-at-a-time merge gives the target replica a different
-   physical insertion order, the [Modulo_order] level of §5.2 — so
-   eager-vs-lazy equality is asserted on source-served output plus the
-   canonical replica fingerprint, while full output must be identical
-   across domain counts of the {e same} run. *)
-let source_output (r : Pool.report) =
-  List.filter_map
-    (fun (o : Shadow.outcome) ->
-      if o.Shadow.decision = Shadow.Serve_source then
-        Some
-          ( o.Shadow.request.Request.id,
-            Io_trace.terminal_lines o.Shadow.served_trace )
-      else None)
-    r.Pool.outcomes
+(* Every request's served trace, by request id, modulo order.  Eager and
+   lazy runs may serve one request from different engines — a deferred
+   read is served by the source, so live promotes later — and
+   target-served output may legitimately reorder records: record-at-a-
+   time merge gives the target replica a different physical insertion
+   order, the [Modulo_order] level of §5.2.  Full output must still be
+   identical across domain counts of the {e same} run. *)
+let served_modulo_order (r : Pool.report) =
+  List.sort compare
+    (List.map
+       (fun (o : Shadow.outcome) ->
+         ( o.Shadow.request.Request.id,
+           List.sort Io_trace.compare_event o.Shadow.served_trace ))
+       r.Pool.outcomes)
+
+(* Each transition as (from, to, judged requests consumed when it
+   fired).  Deferred reads are never judged, so a lazy run's
+   transitions carry later request ids than the eager run's but fire
+   after the same number of judged requests. *)
+let judged_transitions (r : Pool.report) =
+  let judged_by = Hashtbl.create 256 in
+  ignore
+    (List.fold_left
+       (fun n (o : Shadow.outcome) ->
+         let n = if o.Shadow.verdict <> None then n + 1 else n in
+         Hashtbl.replace judged_by o.Shadow.request.Request.id n;
+         n)
+       0 r.Pool.outcomes);
+  List.map
+    (fun (t : Cutover.transition) ->
+      ( Cutover.phase_name t.Cutover.from_,
+        Cutover.phase_name t.Cutover.to_,
+        Hashtbl.find_opt judged_by t.Cutover.at_request ))
+    r.Pool.transitions
 
 (* ------------------------------------------------------------------ *)
-(* (a) lazy serving converges to the eager run: same transitions, same
-   served output, bit-identical target replicas — across 1/2/8
-   domains                                                             *)
+(* (a) lazy serving converges to the eager run: the same phases after
+   the same number of judged requests, the same served output modulo
+   order, bit-identical target replicas — across 1/2/8 domains.  The
+   stream is 160 requests: the 13 reads the lazy run defers are
+   unjudged, and 128 would end it before its second promotion.         *)
 
 let lazy_converges_to_eager () =
   let mode_name = "epoch" in
-  let eager = run_service () in
+  let n = 160 in
+  let eager = run_service ~n () in
   check (mode_name ^ ": eager baseline reaches cutover") true
     (Cutover.equal_phase eager.Pool.final_phase Cutover.Cutover);
   check (mode_name ^ ": eager baseline is clean") true
@@ -119,15 +142,15 @@ let lazy_converges_to_eager () =
   List.iter
     (fun domains ->
       let label = Printf.sprintf "%s, %d domain(s)" mode_name domains in
-      let live = run_service ~live:true ~domains () in
+      let live = run_service ~live:true ~domains ~n () in
       check (label ^ ": lazy run reaches cutover") true
         (Cutover.equal_phase live.Pool.final_phase Cutover.Cutover);
       check (label ^ ": no divergences") true
         (live.Pool.divergences = []);
-      check (label ^ ": same transitions as eager") true
-        (live.Pool.transitions = eager.Pool.transitions);
-      check (label ^ ": same source-served output as eager") true
-        (source_output live = source_output eager);
+      check (label ^ ": transitions fire at eager's judged counts") true
+        (judged_transitions live = judged_transitions eager);
+      check (label ^ ": served traces equal eager's modulo order") true
+        (served_modulo_order live = served_modulo_order eager);
       check (label ^ ": target replicas bit-identical to eager") true
         (live.Pool.replica_fingerprint <> None
         && live.Pool.replica_fingerprint = eager.Pool.replica_fingerprint);
@@ -144,6 +167,8 @@ let lazy_converges_to_eager () =
             (m.Migrate.mig_failed = None);
           check (label ^ ": fault-in and backfill both ran") true
             (m.Migrate.faulted > 0 && m.Migrate.backfilled > 0);
+          check (label ^ ": some reads were deferred") true
+            (m.Migrate.deferred > 0);
           check (label ^ ": every slot drained") true
             (m.Migrate.faulted + m.Migrate.backfilled
             = m.Migrate.total_slots))
@@ -452,6 +477,115 @@ let drain_matches_bulk () =
         [ Some 1; Some 7; Some 48; None ])
     [ (Mapping.Net, "net"); (Mapping.Rel, "rel"); (Mapping.Hier, "hier") ]
 
+(* ------------------------------------------------------------------ *)
+(* (h) deferral: on a fresh migration a read-only scan of an undrained
+   extent is served by the source alone and drains nothing; a write
+   whose demand includes the whole extent still faults it in; after a
+   full drain the same scan is dual-run and judged                     *)
+
+let emp_scan =
+  let module Ab = Ccv_abstract in
+  { Ab.Aprog.name = "SCAN-EMP";
+    body =
+      [ Ab.Aprog.For_each
+          { query = [ Ab.Apattern.Self { target = W.Company.emp; qual = Cond.True } ];
+            body = [ Ab.Aprog.Display [ Cond.Var "EMP.EMP-NAME" ] ];
+          };
+      ];
+  }
+
+let age_every_emp =
+  let module Ab = Ccv_abstract in
+  { Ab.Aprog.name = "AGE-EVERY-EMP";
+    body =
+      [ Ab.Aprog.Update
+          { query = [ Ab.Apattern.Self { target = W.Company.emp; qual = Cond.True } ];
+            assigns =
+              [ ("AGE", Cond.Add (Cond.Var "EMP.AGE", Cond.Const (Value.Int 1))) ];
+          };
+        Ab.Aprog.Display [ Cond.Const (Value.Str "UPDATED") ];
+      ];
+  }
+
+let reads_defer_writes_fault_in () =
+  let req = net_req [ interpose_op ] in
+  let sample = W.Company.instance () in
+  let shard ?live () =
+    match Shard.create ~id:0 ?live req sample with
+    | Ok sh -> sh
+    | Error e -> Alcotest.failf "shard: %s" e
+  in
+  let exec sh ~seq aprog =
+    Shard.exec sh ~phase:Cutover.Shadow ~tolerate_reordering:true
+      ~canary_seed:707
+      ~clock:(fun () -> 0.)
+      ~epoch:0 ~seq
+      { Request.id = seq; family = G.Retrieval; aprog }
+  in
+  let live = shard ~live:Migrate.default_config () in
+  let m =
+    match Shard.migration live with
+    | Some m -> m
+    | None -> Alcotest.fail "live shard has no migration"
+  in
+  let fingerprint () = Migrate.fingerprint_target req (Shard.target_database live) in
+  let empty = fingerprint () in
+  let judged (o : Shadow.outcome) =
+    o.Shadow.shadowed && o.Shadow.verdict <> None && not o.Shadow.divergent
+  in
+  (* 1: the scan defers *)
+  let o = exec live ~seq:0 emp_scan in
+  let source = exec (shard ()) ~seq:0 emp_scan in
+  check "deferred scan is served by the source" true
+    (o.Shadow.decision = Shadow.Serve_source && not o.Shadow.refused);
+  check "deferred scan is not judged" true
+    ((not o.Shadow.shadowed) && o.Shadow.verdict = None);
+  check "deferred scan's trace is the source's" true
+    (source.Shadow.decision = Shadow.Serve_source
+    && o.Shadow.served_trace <> []
+    && o.Shadow.served_trace = source.Shadow.served_trace);
+  check "deferral faults nothing in" true
+    (Migrate.n_done m = 0 && (Migrate.summary m).Migrate.faulted = 0);
+  check "deferral leaves the target replica alone" true
+    (fingerprint () = empty);
+  check "deferral is counted" true ((Migrate.summary m).Migrate.deferred = 1);
+  check "prepare_request defers the scan" true
+    (Migrate.prepare_request m emp_scan = Migrate.Deferred
+    && (Migrate.summary m).Migrate.deferred = 2);
+  (* 2: a write over the whole extent faults it in *)
+  let emps = List.length (Sdb.rows_silent sample W.Company.emp) in
+  let o = exec live ~seq:1 age_every_emp in
+  check "write over an undrained extent is dual-run and judged" true
+    (judged o);
+  check "write faults the extent in" true
+    ((Migrate.summary m).Migrate.faulted >= emps
+    && Migrate.n_done m = (Migrate.summary m).Migrate.faulted);
+  check "write is not deferred" true ((Migrate.summary m).Migrate.deferred = 2);
+  (* 3: after a full drain the scan is judged *)
+  Shard.backfill_to live ~to_:max_int;
+  check "drained" true (Migrate.n_done m = Migrate.total m);
+  let o = exec live ~seq:2 emp_scan in
+  check "scan after the drain is dual-run and judged" true (judged o);
+  check "scan after the drain is not deferred" true
+    ((Migrate.summary m).Migrate.deferred = 2);
+  (* 4: the count adds up across shards and reaches the report *)
+  let s = Migrate.summary m in
+  check "sum_summaries adds deferred" true
+    ((Migrate.sum_summaries [ s; s; s ]).Migrate.deferred = 3 * s.Migrate.deferred);
+  let r = run_service ~live:true () in
+  match r.Pool.migration with
+  | None -> Alcotest.fail "no migration summary"
+  | Some total ->
+      check "the pool run deferred reads" true (total.Migrate.deferred > 0);
+      check "the live migration line shows deferred reads" true
+        (List.exists
+           (fun line ->
+             contains ~affix:"live migration:" line
+             && contains
+                  ~affix:(Printf.sprintf ", %d read(s) deferred" total.Migrate.deferred)
+                  line)
+           (String.split_on_char '\n' (Pool.render r)))
+
 let () =
   Alcotest.run "migrate"
     [ ( "live migration",
@@ -469,5 +603,7 @@ let () =
             slot_order_groups_owners;
           Alcotest.test_case "drain matches bulk translation" `Slow
             drain_matches_bulk;
+          Alcotest.test_case "reads defer, writes fault in" `Quick
+            reads_defer_writes_fault_in;
         ] );
     ]

@@ -8,6 +8,11 @@ module W = Ccv_workload
 
 let check = Alcotest.(check bool)
 
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  n = 0 || go 0
+
 let interpose_op =
   Schema_change.Interpose
     { through = W.Company.div_emp;
@@ -238,13 +243,411 @@ let roundtrip_prop =
            { entity = "EMP"; from_ = "AGE"; to_ = "YEARS" })
       = Some true)
 
+(* ------------------------------------------------------------------ *)
+(* The incremental loader's indexes against the per-row scans they
+   replaced.  [scan_load] is a test-local copy of the scan loader
+   (network and hierarchical paths, lenient mode, one call into a fresh
+   replica): every member row folded over all of its association's
+   links for its BY VALUE owner (the last match wins), every child row
+   searched them for its parent (the first match wins), and keys
+   matched under [List.compare Value.compare], so [Int 1] names the row
+   keyed [Float 1.0]. *)
+
+module Ndb = Ccv_network.Ndb
+module Hdb = Ccv_hier.Hdb
+
+let key_repr key = String.concat "|" (List.map Value.show key)
+
+let is_total schema (a : Semantic.assoc) =
+  (match (Semantic.find_entity_exn schema a.right).kind with
+  | Semantic.Characterizing owner -> Field.name_equal owner a.left
+  | Semantic.Defined -> false)
+  || List.exists
+       (function
+         | Semantic.Total_right x -> Field.name_equal x a.aname
+         | Semantic.Total_left _ | Semantic.Participation_limit _
+         | Semantic.Field_not_null _ -> false)
+       schema.Semantic.constraints
+
+let scan_load (map : Mapping.t) ~rows ~links db =
+  let schema = map.Mapping.semantic in
+  let warnings = ref [] in
+  let warn fmt = Fmt.kstr (fun s -> warnings := s :: !warnings) fmt in
+  let index = Hashtbl.create 64 in
+  let rows_for (e : Semantic.entity) =
+    List.concat_map
+      (fun (en, rs) -> if Field.name_equal en e.ename then rs else [])
+      rows
+  in
+  let links_for (a : Semantic.assoc) =
+    List.concat_map
+      (fun (an, ls) -> if Field.name_equal an a.aname then ls else [])
+      links
+  in
+  let same k k' = List.compare Value.compare k k' = 0 in
+  let db =
+    match db with
+    | `Net ndb ->
+        let ndb = ref ndb in
+        let store rtype row k =
+          match Ndb.store !ndb rtype row with
+          | Ok (db, key) -> ndb := db; k key
+          | Error s -> warn "load_network %s: %a (skipped)" rtype Status.pp s
+        in
+        let seed_for (e : Semantic.entity) row =
+          List.fold_left
+            (fun row (a : Semantic.assoc) ->
+              match Mapping.assoc_real map a.aname with
+              | Mapping.Assoc_set { member_fields; _ }
+                when Field.name_equal a.right e.ename && is_total schema a -> (
+                  let rkey = Sdb.key_of e row in
+                  match
+                    List.fold_left
+                      (fun acc (lk : Sdb.link) ->
+                        if same lk.rkey rkey then Some lk.lkey else acc)
+                      None (links_for a)
+                  with
+                  | Some lkey ->
+                      List.fold_left2
+                        (fun row f v -> if Row.mem row f then row else Row.set row f v)
+                        row member_fields lkey
+                  | None -> row)
+              | _ -> row)
+            row (Semantic.assocs_of schema e.ename)
+        in
+        List.iter
+          (fun (e : Semantic.entity) ->
+            List.iter
+              (fun row ->
+                store e.ename (seed_for e row) (fun key ->
+                    Hashtbl.replace index
+                      (Field.canon e.ename, key_repr (Sdb.key_of e row))
+                      key))
+              (rows_for e))
+          (Mapping.load_order schema);
+        List.iter
+          (fun (a : Semantic.assoc) ->
+            match Mapping.assoc_real map a.aname with
+            | Mapping.Assoc_set { set; _ } when not (is_total schema a) ->
+                List.iter
+                  (fun (lk : Sdb.link) ->
+                    match
+                      ( Hashtbl.find_opt index (Field.canon a.left, key_repr lk.lkey),
+                        Hashtbl.find_opt index (Field.canon a.right, key_repr lk.rkey) )
+                    with
+                    | Some owner, Some member -> (
+                        match Ndb.connect !ndb ~set ~member ~owner with
+                        | Ok db -> ndb := db
+                        | Error s ->
+                            warn "load_network connect %s: %a (skipped)" set
+                              Status.pp s)
+                    | _ ->
+                        warn "load_network connect %s: missing endpoint %s (skipped)"
+                          set (key_repr (lk.lkey @ lk.rkey)))
+                  (links_for a)
+            | Mapping.Assoc_link_record { record; _ } ->
+                List.iter
+                  (fun lk -> store record (Sdb.link_row schema a lk) (fun _ -> ()))
+                  (links_for a)
+            | _ -> ())
+          schema.Semantic.assocs;
+        `Net !ndb
+    | `Hier hdb ->
+        let hdb = ref hdb in
+        let insert parent stype row k =
+          match Hdb.insert !hdb ~parent stype row with
+          | Ok (db, key) -> hdb := db; k key
+          | Error s -> warn "load_hier %s: %a (skipped)" stype Status.pp s
+        in
+        List.iter
+          (fun (e : Semantic.entity) ->
+            let parent_assoc =
+              List.find_opt
+                (fun (a : Semantic.assoc) ->
+                  Field.name_equal a.right e.ename
+                  && a.card = Semantic.One_to_many && a.fields = []
+                  && is_total schema a
+                  && not (Field.name_equal a.left e.ename))
+                schema.Semantic.assocs
+            in
+            List.iter
+              (fun row ->
+                let rkey = Sdb.key_of e row in
+                let parent =
+                  match parent_assoc with
+                  | None -> Some None
+                  | Some a -> (
+                      match
+                        List.find_opt
+                          (fun (lk : Sdb.link) -> same lk.rkey rkey)
+                          (links_for a)
+                      with
+                      | Some lk -> (
+                          match
+                            Hashtbl.find_opt index
+                              (Field.canon a.left, key_repr lk.lkey)
+                          with
+                          | Some p -> Some (Some p)
+                          | None ->
+                              warn "load_hier %s: parent %s not loaded (skipped)"
+                                e.ename (key_repr lk.lkey);
+                              None)
+                      | None ->
+                          warn "load_hier %s %s: no parent link (skipped)" e.ename
+                            (key_repr rkey);
+                          None)
+                in
+                match parent with
+                | None -> ()
+                | Some parent ->
+                    insert parent e.ename row (fun key ->
+                        Hashtbl.replace index
+                          (Field.canon e.ename, key_repr rkey)
+                          key))
+              (rows_for e))
+          (Mapping.load_order schema);
+        List.iter
+          (fun (a : Semantic.assoc) ->
+            match Mapping.assoc_real map a.aname with
+            | Mapping.Assoc_link_segment seg ->
+                let re = Semantic.find_entity_exn schema a.right in
+                let rkey_field = List.hd re.key in
+                List.iter
+                  (fun (lk : Sdb.link) ->
+                    match
+                      Hashtbl.find_opt index (Field.canon a.left, key_repr lk.lkey)
+                    with
+                    | Some parent ->
+                        insert (Some parent) seg
+                          (Row.of_list
+                             ((rkey_field, List.hd lk.rkey) :: Row.to_list lk.attrs))
+                          (fun _ -> ())
+                    | None ->
+                        warn "load_hier segment %s: parent %s not loaded (skipped)"
+                          seg (key_repr lk.lkey))
+                  (links_for a)
+            | _ -> ())
+          schema.Semantic.assocs;
+        `Hier !hdb
+  in
+  (db, List.rev !warnings)
+
+let fingerprint = Ccv_migrate.Migrate.fingerprint_of_sdb
+
+(* Load [rows]/[links] both ways into [model]; the extracted instances
+   and the warnings must be identical.  Returns the indexed loader's
+   extracted instance. *)
+let same_as_scan model schema ~rows ~links =
+  let indexed, scanned, warnings =
+    match model with
+    | `Net ->
+        let map, nschema = Mapping.derive_network schema in
+        let loader = Mapping.loader_network map nschema in
+        let ws = Mapping.loader_add loader ~rows ~links in
+        let ndb =
+          match scan_load map ~rows ~links (`Net (Ndb.create nschema)) with
+          | `Net ndb, ws' -> check "network: same warnings" true (ws = ws'); ndb
+          | `Hier _, _ -> assert false
+        in
+        ( Mapping.extract_network map (Mapping.loader_ndb loader),
+          Mapping.extract_network map ndb, ws )
+    | `Hier ->
+        let map, hschema = Mapping.derive_hier schema in
+        let loader = Mapping.loader_hier map hschema in
+        let ws = Mapping.loader_add loader ~rows ~links in
+        let hdb =
+          match scan_load map ~rows ~links (`Hier (Hdb.create hschema)) with
+          | `Hier hdb, ws' -> check "hier: same warnings" true (ws = ws'); hdb
+          | `Net _, _ -> assert false
+        in
+        ( Mapping.extract_hier map (Mapping.loader_hdb loader),
+          Mapping.extract_hier map hdb, ws )
+  in
+  check "same extracted fingerprint" true
+    (fingerprint indexed = fingerprint scanned);
+  (indexed, warnings)
+
+let owner_of sdb aname rkey =
+  List.filter_map
+    (fun (l : Sdb.link) ->
+      if List.compare Value.compare l.rkey rkey = 0 then Some l.lkey else None)
+    (Sdb.links_silent sdb aname)
+
+let rows_links sdb =
+  let schema = Sdb.schema sdb in
+  ( List.map
+      (fun (e : Semantic.entity) -> (e.ename, Sdb.rows_silent sdb e.ename))
+      schema.Semantic.entities,
+    List.map
+      (fun (a : Semantic.assoc) -> (a.aname, Sdb.links_silent sdb a.aname))
+      schema.Semantic.assocs )
+
+(* BIN-NO is an integer key, PART-NO a float one; HOLDS is total (an
+   owner-coupled set / parent-child), PREFERS is not (a MANUAL set / a
+   link segment). *)
+let bins_schema =
+  Semantic.make
+    ~constraints:[ Semantic.Total_right "HOLDS" ]
+    [ Semantic.entity "BIN"
+        [ Field.make "BIN-NO" Value.Tint; Field.make "BIN-LOC" Value.Tstr ]
+        ~key:[ "BIN-NO" ];
+      Semantic.entity "PART"
+        [ Field.make "PART-NO" Value.Tfloat; Field.make "WEIGHT" Value.Tint ]
+        ~key:[ "PART-NO" ];
+    ]
+    [ Semantic.assoc "HOLDS" ~left:"BIN" ~right:"PART" ();
+      Semantic.assoc "PREFERS" ~left:"BIN" ~right:"PART" ();
+    ]
+
+let bins_input =
+  let bin n loc =
+    Row.of_list [ ("BIN-NO", Value.Int n); ("BIN-LOC", Value.Str loc) ]
+  and part x w =
+    Row.of_list [ ("PART-NO", Value.Float x); ("WEIGHT", Value.Int w) ]
+  and link l r = { Sdb.lkey = [ Value.Int l ]; rkey = [ r ]; attrs = Row.empty } in
+  ( [ ("BIN", [ bin 1 "NORTH"; bin 2 "SOUTH" ]);
+      ("PART",
+       [ part 1.0 10; part 1.0000001 15; part 2.5 20; part 3.5 30; part 4.0 40 ]);
+    ],
+    [ ( "HOLDS",
+        [ link 1 (Value.Int 1);  (* an Int names the Float 1.0 row *)
+          link 2 (Value.Float 1.0000001);  (* prints like 1.0 under %g *)
+          link 2 (Value.Float 2.5);
+          link 1 (Value.Float 2.5);  (* a second owner for PART 2.5 *)
+          link 9 (Value.Float 3.5);  (* no such BIN *)
+          (* PART 4.0 has no HOLDS link *)
+        ] );
+      ("PREFERS", [ link 2 (Value.Float 1.0); link 7 (Value.Float 2.5) ]);
+    ] )
+
+let loader_index_tests =
+  let company_with_second_owner () =
+    let rows, links = rows_links (W.Company.instance ()) in
+    (* ADAMS is in MACHINERY; a later link names CHEMICALS too *)
+    let extra =
+      { Sdb.lkey = [ Value.Str "CHEMICALS" ];
+        rkey = [ Value.Str "ADAMS" ];
+        attrs = Row.empty;
+      }
+    in
+    ( rows,
+      List.map
+        (fun (an, ls) ->
+          if Field.name_equal an W.Company.div_emp then (an, ls @ [ extra ])
+          else (an, ls))
+        links )
+  in
+  [ Alcotest.test_case "network: the last duplicate link seeds the owner"
+      `Quick (fun () ->
+        let rows, links = company_with_second_owner () in
+        let sdb, _ = same_as_scan `Net W.Company.schema ~rows ~links in
+        check "ADAMS is in CHEMICALS" true
+          (owner_of sdb W.Company.div_emp [ Value.Str "ADAMS" ]
+          = [ [ Value.Str "CHEMICALS" ] ]));
+    Alcotest.test_case "hier: the first duplicate link is the parent" `Quick
+      (fun () ->
+        let rows, links = company_with_second_owner () in
+        let sdb, _ = same_as_scan `Hier W.Company.schema ~rows ~links in
+        check "ADAMS stays in MACHINERY" true
+          (owner_of sdb W.Company.div_emp [ Value.Str "ADAMS" ]
+          = [ [ Value.Str "MACHINERY" ] ]));
+    Alcotest.test_case "numeric keys, duplicates and lenient warnings" `Quick
+      (fun () ->
+        let rows, links = bins_input in
+        let net, net_ws = same_as_scan `Net bins_schema ~rows ~links in
+        let hier, hier_ws = same_as_scan `Hier bins_schema ~rows ~links in
+        check "network: Int 1 seeds PART 1.0" true
+          (owner_of net "HOLDS" [ Value.Float 1.0 ] = [ [ Value.Int 1 ] ]);
+        check "hier: Int 1 parents PART 1.0" true
+          (owner_of hier "HOLDS" [ Value.Float 1.0 ] = [ [ Value.Int 1 ] ]);
+        check "network: PART 1.0000001 is not PART 1.0" true
+          (owner_of net "HOLDS" [ Value.Float 1.0000001 ] = [ [ Value.Int 2 ] ]);
+        check "hier: PART 1.0000001 is not PART 1.0" true
+          (owner_of hier "HOLDS" [ Value.Float 1.0000001 ] = [ [ Value.Int 2 ] ]);
+        check "network: last owner of PART 2.5" true
+          (owner_of net "HOLDS" [ Value.Float 2.5 ] = [ [ Value.Int 1 ] ]);
+        check "hier: first parent of PART 2.5" true
+          (owner_of hier "HOLDS" [ Value.Float 2.5 ] = [ [ Value.Int 2 ] ]);
+        check "network: warnings were raised" true (List.length net_ws >= 2);
+        check "hier: warnings were raised" true (List.length hier_ws >= 3));
+    Alcotest.test_case "strict: missing link-segment parent names both"
+      `Quick (fun () ->
+        let map, hschema = Mapping.derive_hier bins_schema in
+        let seg =
+          match Mapping.assoc_real map "PREFERS" with
+          | Mapping.Assoc_link_segment seg -> seg
+          | _ -> Alcotest.fail "expected a link segment"
+        in
+        let loader = Mapping.loader_hier map hschema in
+        match
+          Mapping.loader_add ~strict:true loader ~rows:[]
+            ~links:
+              [ ( "PREFERS",
+                  [ { Sdb.lkey = [ Value.Int 7 ];
+                      rkey = [ Value.Float 1.0 ];
+                      attrs = Row.empty;
+                    } ] ) ]
+        with
+        | _ -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument msg ->
+            check "names the segment" true (contains ~affix:seg msg);
+            check "names the parent key" true
+              (contains ~affix:(key_repr [ Value.Int 7 ]) msg));
+  ]
+
+let loader_index_prop =
+  QCheck.Test.make ~name:"indexed loader = scan loader on shuffled instances"
+    ~count:40
+    QCheck.(pair (int_range 1 1000) (int_range 5 40))
+    (fun (seed, n) ->
+      let rng = Random.State.make [| seed |] in
+      let rows, links = rows_links (W.Company.scaled ~seed ~n) in
+      let jumble ~dup l =
+        List.filter_map
+          (fun x ->
+            match Random.State.int rng 6 with
+            | 0 -> None
+            | 1 when dup -> Some [ x; x ]
+            | _ -> Some [ x ])
+          l
+        |> List.concat
+      in
+      (* drop records; drop, duplicate and re-owner links; split each
+         input in two pairs under one name *)
+      let owners =
+        List.map (fun (r : Row.t) -> Row.get r "DIV-NAME")
+          (List.assoc W.Company.div rows)
+      in
+      let halves (name, xs) =
+        let k = List.length xs / 2 in
+        [ (name, List.filteri (fun i _ -> i < k) xs);
+          (name, List.filteri (fun i _ -> i >= k) xs) ]
+      in
+      let rows = List.concat_map (fun (en, rs) -> halves (en, jumble ~dup:false rs)) rows in
+      let reowner (l : Sdb.link) =
+        match List.nth owners (Random.State.int rng (List.length owners)) with
+        | Some v when Random.State.int rng 4 = 0 -> { l with Sdb.lkey = [ v ] }
+        | _ -> l
+      in
+      let links =
+        List.concat_map
+          (fun (an, ls) -> halves (an, List.map reowner (jumble ~dup:true ls)))
+          links
+      in
+      List.iter
+        (fun model -> ignore (same_as_scan model W.Company.schema ~rows ~links))
+        [ `Net; `Hier ];
+      true)
+
 let () =
   Alcotest.run "transform"
     [ ("schema-change", schema_change_tests);
       ("data-translate", data_tests);
       ("inverse", inverse_tests);
+      ("loader-index", loader_index_tests);
       ("props",
        [ QCheck_alcotest.to_alcotest interpose_prop;
          QCheck_alcotest.to_alcotest roundtrip_prop;
+         QCheck_alcotest.to_alcotest loader_index_prop;
        ]);
     ]
