@@ -1792,7 +1792,7 @@ let migration ?(smoke = false) () =
 (* ------------------------------------------------------------------ *)
 (* drain: pure backfill throughput — every slot of a scaled instance
    drained through [Migrate.backfill_to] with no serving in the way.
-   Isolates the per-batch slice-assembly cost of [Migrate.merge_batch]:
+   Isolates the per-batch slice-assembly cost of [Migrate.translate]:
    superlinear assembly shows up as slots/s falling with volume, and a
    closure that grows with volume as rows translated per slot rising.
    The smoke variant gates that count (deterministic, so it cannot
@@ -1800,14 +1800,14 @@ let migration ?(smoke = false) () =
    per slot at 250.  [Migrate.start]'s own time (source replica, slot
    order, empty target) is printed per volume, ungated. *)
 
-let drain ?(smoke = false) () =
+let rec drain ?(smoke = false) () =
   section
     (if smoke then
        "DRAIN-SMOKE  rows translated per drained slot must not grow with \
         volume"
      else
-       "DRAIN  backfill drain throughput vs instance volume (merge_batch \
-        slice assembly must stay near-linear)");
+       "DRAIN  backfill drain throughput vs instance volume (slice \
+        assembly must stay near-linear)");
   let module M = Ccv_migrate.Migrate in
   let volumes = if smoke then [ 250; 3000 ] else [ 250; 1000; 3000 ] in
   let rows = ref [] and rows_per_slot = ref [] in
@@ -1883,6 +1883,76 @@ let drain ?(smoke = false) () =
     end;
     Printf.printf "smoke: the backfill closure does not grow with volume\n"
   end
+  else drain_replicas ()
+
+(* The replicas leg of [drain] (ungated): 4 shard replicas of one
+   3000-record snapshot drain in lockstep, one block per shard per
+   step as the pool interleaves them, attached to one shared plan vs.
+   each on a private plan.  Shared, each block is translated once for
+   the 4; private, 4 times.  us per slot application is wall time over
+   slots x shards, plan construction excluded. *)
+and drain_replicas () =
+  let module M = Ccv_migrate.Migrate in
+  let sample = W.Company.scaled ~seed:42 ~n:3000 in
+  let config = { M.default_config with batch = 48 } in
+  let nshards = 4 in
+  let plan () =
+    match M.plan ~config interpose_req sample with
+    | Ok p -> p
+    | Error (stage, reason) -> failwith (stage ^ ": " ^ reason)
+  in
+  (* [plans]: one plan all shards share, or one per shard *)
+  let leg name plans =
+    let shards =
+      Array.init nshards (fun s ->
+          M.attach (List.nth plans (s mod List.length plans)) ~shard_id:s)
+    in
+    let total = M.total shards.(0) in
+    let (), ms =
+      time_ms (fun () ->
+          let to_ = ref 0 in
+          while !to_ < total do
+            to_ := min total (!to_ + 48);
+            Array.iter (fun m -> M.backfill_to m ~to_:!to_) shards
+          done)
+    in
+    Array.iter
+      (fun m ->
+        match M.failed m with
+        | Some msg -> failwith ("drain bench: migration failed: " ^ msg)
+        | None -> ())
+      shards;
+    let blocks =
+      List.fold_left (fun n p -> n + M.blocks_translated p) 0 plans
+    in
+    let per_app_us = ms *. 1000. /. float (max 1 (total * nshards)) in
+    emit_json
+      [ ("experiment", json_str "drain-replicas");
+        ("plans", json_str name);
+        ("shards", string_of_int nshards);
+        ("slots", string_of_int total);
+        ("blocks_translated", string_of_int blocks);
+        ("wall_ms", json_float ms);
+        ("per_slot_application_us", json_float per_app_us);
+      ];
+    [ name; string_of_int nshards; string_of_int total; string_of_int blocks;
+      Tablefmt.float_cell ms; Tablefmt.float_cell per_app_us ]
+  in
+  let rows =
+    [ leg "shared" [ plan () ];
+      leg "private" (List.init nshards (fun _ -> plan ()));
+    ]
+  in
+  Tablefmt.print
+    ~title:
+      "4 replicas of 3000 records drained in lockstep, batch 48, interpose \
+       op: one shared plan vs 4 private plans (ungated)"
+    ~aligns:
+      [ Tablefmt.Left; Tablefmt.Right; Tablefmt.Right; Tablefmt.Right;
+        Tablefmt.Right; Tablefmt.Right ]
+    [ "plans"; "shards"; "slots"; "blocks translated"; "wall ms";
+      "us/slot application" ]
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* cost: cost-based plan selection from live cardinality statistics vs

@@ -41,7 +41,10 @@ let serve ~title ~cutover ops =
   Printf.printf "=== %s ===\n\n" title;
   let sample = W.Company.instance () in
   let reqs = Request.stream ~seed:2026 W.Company.schema ~sample ~n:64 () in
-  let config = { Pool.default_config with shards = 4 } in
+  (* rows of 2 requests per shard: the phase plan runs 2 rows ahead of
+     the controller, so a phase serves only rows planned after it
+     began, and a short stream needs short rows to walk the ladder *)
+  let config = { Pool.default_config with shards = 4; epoch_batch = 2 } in
   match Pool.run ~config ~cutover (req ops) sample reqs with
   | Error e -> Printf.printf "service failed to start: %s\n\n" e
   | Ok r -> Printf.printf "%s\n" (Pool.render r)

@@ -1,7 +1,7 @@
 (* Navigation-depth / demand-closure pass.
 
    Live migration faults in a request's demand closure before
-   dual-running it, and [Migrate.merge_batch] expands that closure
+   dual-running it, and [Migrate.translate] expands that closure
    through exactly two association hops.  This pass computes a
    program's maximum association-hop depth statically, so the cap
    becomes an admission-time verdict: programs within the cap are
@@ -13,7 +13,7 @@ open Ccv_common
 open Ccv_abstract
 
 let default_cap = 2
-(* = the two [expand] rounds in Migrate.merge_batch; keep in sync. *)
+(* = the two [expand] rounds in Migrate.translate; keep in sync. *)
 
 (* Association hops in one access sequence: a paired
    [Assoc_via A; Via_assoc via A] crosses one association, an unpaired

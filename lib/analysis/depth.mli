@@ -5,7 +5,7 @@ open Ccv_common
 open Ccv_abstract
 
 val default_cap : int
-(** The hop depth [Migrate.merge_batch] expands a request's demand
+(** The hop depth [Migrate.translate] expands a request's demand
     closure through (2). *)
 
 val hops_of_query : Apattern.t -> int

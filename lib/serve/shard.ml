@@ -88,19 +88,15 @@ let create ~id ?pool ?(use_plan_cache = true) ?(cost_based = false)
             (finish servable
                (Sdb.schema servable.Supervisor.translated)
                servable.Supervisor.target_db None))
-  | Some mconfig -> (
+  | Some plan -> (
       (* Live migration: source replica only; the target starts empty
          and fills by fault-in and backfill — no bulk translation in
-         front of the first request. *)
-      match Migrate.start ~config:mconfig ~shard_id:id req sdb with
+         front of the first request.  The plan is shared by the pool's
+         shards, so each backfill block is translated once. *)
+      match Supervisor.prepare_live req sdb with
       | Error (stage, reason) -> Error (stage ^ ": " ^ reason)
-      | Ok (m, servable) ->
-          let target_semantic =
-            match Ccv_transform.Schema_change.apply_all req.Supervisor.source_schema
-                    req.Supervisor.ops with
-            | Ok s -> s
-            | Error _ -> req.Supervisor.source_schema
-          in
+      | Ok (servable, target_semantic) ->
+          let m = Migrate.attach plan ~shard_id:id in
           Ok (finish servable target_semantic (Migrate.engine_db m) (Some m)))
 
 (* Advance this shard's backfill watermark (no-op without live

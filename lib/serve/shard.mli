@@ -26,10 +26,12 @@ val id : t -> int
     worker).
 
     With [live], the shard prepares for {e live migration} instead
-    ({!Ccv_convert.Supervisor.prepare_live} via
-    {!Ccv_migrate.Migrate.start}): the target replica starts empty and
-    fills on first touch and by backfill, so creation does no bulk
-    data translation at all.
+    ({!Ccv_convert.Supervisor.prepare_live}, then
+    {!Ccv_migrate.Migrate.attach} to the given plan): the target
+    replica starts empty and fills on first touch and by backfill, so
+    creation does no bulk data translation at all.  Shards attached to
+    one plan share its backfill translations; the plan must have been
+    built from the same [req] and [sdb].
 
     With [cost_based], a cardinality snapshot ({!Ccv_plan.Stats}) is
     taken at creation and every compiled pair is optimized under it
@@ -43,7 +45,7 @@ val id : t -> int
 val create :
   id:int -> ?pool:Ccv_common.Workpool.t -> ?use_plan_cache:bool ->
   ?cost_based:bool -> ?stats_every:int -> ?drift_threshold:float ->
-  ?live:Ccv_migrate.Migrate.config ->
+  ?live:Ccv_migrate.Migrate.plan ->
   Supervisor.request -> Sdb.t ->
   (t, string) result
 

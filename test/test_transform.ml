@@ -273,7 +273,6 @@ let scan_load (map : Mapping.t) ~rows ~links db =
   let schema = map.Mapping.semantic in
   let warnings = ref [] in
   let warn fmt = Fmt.kstr (fun s -> warnings := s :: !warnings) fmt in
-  let index = Hashtbl.create 64 in
   let rows_for (e : Semantic.entity) =
     List.concat_map
       (fun (en, rs) -> if Field.name_equal en e.ename then rs else [])
@@ -285,6 +284,14 @@ let scan_load (map : Mapping.t) ~rows ~links db =
       links
   in
   let same k k' = List.compare Value.compare k k' = 0 in
+  (* semantic key -> database key, keys matched under [same] *)
+  let index = ref [] in
+  let index_set n k v =
+    index := (n, k, v) :: List.filter (fun (n', k', _) -> not (n = n' && same k k')) !index
+  in
+  let index_find n k =
+    List.find_map (fun (n', k', v) -> if n = n' && same k k' then Some v else None) !index
+  in
   let db =
     match db with
     | `Net ndb ->
@@ -320,9 +327,7 @@ let scan_load (map : Mapping.t) ~rows ~links db =
             List.iter
               (fun row ->
                 store e.ename (seed_for e row) (fun key ->
-                    Hashtbl.replace index
-                      (Field.canon e.ename, key_repr (Sdb.key_of e row))
-                      key))
+                    index_set (Field.canon e.ename) (Sdb.key_of e row) key))
               (rows_for e))
           (Mapping.load_order schema);
         List.iter
@@ -332,8 +337,8 @@ let scan_load (map : Mapping.t) ~rows ~links db =
                 List.iter
                   (fun (lk : Sdb.link) ->
                     match
-                      ( Hashtbl.find_opt index (Field.canon a.left, key_repr lk.lkey),
-                        Hashtbl.find_opt index (Field.canon a.right, key_repr lk.rkey) )
+                      ( index_find (Field.canon a.left) lk.lkey,
+                        index_find (Field.canon a.right) lk.rkey )
                     with
                     | Some owner, Some member -> (
                         match Ndb.connect !ndb ~set ~member ~owner with
@@ -384,8 +389,7 @@ let scan_load (map : Mapping.t) ~rows ~links db =
                       with
                       | Some lk -> (
                           match
-                            Hashtbl.find_opt index
-                              (Field.canon a.left, key_repr lk.lkey)
+                            index_find (Field.canon a.left) lk.lkey
                           with
                           | Some p -> Some (Some p)
                           | None ->
@@ -401,9 +405,7 @@ let scan_load (map : Mapping.t) ~rows ~links db =
                 | None -> ()
                 | Some parent ->
                     insert parent e.ename row (fun key ->
-                        Hashtbl.replace index
-                          (Field.canon e.ename, key_repr rkey)
-                          key))
+                        index_set (Field.canon e.ename) rkey key))
               (rows_for e))
           (Mapping.load_order schema);
         List.iter
@@ -415,7 +417,7 @@ let scan_load (map : Mapping.t) ~rows ~links db =
                 List.iter
                   (fun (lk : Sdb.link) ->
                     match
-                      Hashtbl.find_opt index (Field.canon a.left, key_repr lk.lkey)
+                      index_find (Field.canon a.left) lk.lkey
                     with
                     | Some parent ->
                         insert (Some parent) seg
@@ -556,6 +558,9 @@ let loader_index_tests =
         let rows, links = bins_input in
         let net, net_ws = same_as_scan `Net bins_schema ~rows ~links in
         let hier, hier_ws = same_as_scan `Hier bins_schema ~rows ~links in
+        check "network: MANUAL link BIN 2 -> PART 1.0 lands on PART 1.0" true
+          (owner_of net "PREFERS" [ Value.Float 1.0 ] = [ [ Value.Int 2 ] ]
+          && owner_of net "PREFERS" [ Value.Float 1.0000001 ] = []);
         check "network: Int 1 seeds PART 1.0" true
           (owner_of net "HOLDS" [ Value.Float 1.0 ] = [ [ Value.Int 1 ] ]);
         check "hier: Int 1 parents PART 1.0" true
