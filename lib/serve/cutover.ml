@@ -131,9 +131,15 @@ let move t ~at ~epoch ~to_ ~reason =
   t.phase <- to_;
   reset_window t
 
-let observe t ~request_id ~epoch ~divergent =
+let observe ?served_in t ~request_id ~epoch ~divergent =
+  let stale =
+    match served_in with
+    | Some p -> not (equal_phase p t.phase)
+    | None -> false
+  in
   match t.status with
   | Aborted -> ()
+  | Serving when stale && not divergent -> ()
   | Serving ->
       t.observations <- t.observations + 1;
       (* slide the window *)

@@ -75,8 +75,16 @@ val status : t -> status
 
 (** Feed the shadow verdict of one request.  Callers must observe in
     logical [(epoch, shard, seq)] order for runs to be reproducible;
-    [epoch] stamps any transition this verdict triggers. *)
-val observe : t -> request_id:int -> epoch:int -> divergent:bool -> unit
+    [epoch] stamps any transition this verdict triggers.  [served_in]
+    is the phase the request was served under (default: the current
+    one).  A clean verdict from another phase is dropped: it says
+    nothing about the phase now serving, and counting it would let a
+    phase be promoted before it served anything.  A divergent one
+    still counts toward rollback — a conversion shown to diverge does
+    not get a clean slate by being promoted. *)
+val observe :
+  ?served_in:phase -> t -> request_id:int -> epoch:int -> divergent:bool ->
+  unit
 
 (** Transitions so far, oldest first. *)
 val transitions : t -> transition list
